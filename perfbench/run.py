@@ -9,17 +9,25 @@ after another, with no pools.
 
 ``--trace 0`` reports the end-to-end metrics:
 
-* ``wall_s``: lower decile of the wall time of one instance, tracing off,
-  after one warm-up instance, over as many instances as fit in S seconds.
-  Only instances that pass their correctness gate are timed results.  The
-  decile, not the median: on the shared 2-core machine this was built on,
-  speed switches between states up to 1.7x apart, for seconds to minutes
-  at a time, so a run's median depends on how long it spent in each; the
-  decile follows the fastest state the run saw (see baseline.json).  The
-  median is printed beside it.
+* ``wall_s``: wall time of one instance at the reference host speed,
+  tracing off, after one warm-up instance, over as many instances as fit
+  in S seconds.  Only instances that pass their correctness gate are timed
+  results.  Each instance's wall time is divided by the median time of the
+  fixed computation in reference.py, run right before and right after it
+  for REF_SHARE of the instance's own time, and multiplied by that
+  computation's nominal time (reference.REFERENCE_S); ``wall_s`` is the
+  median of these over the run.
+  On the shared 2-core machine this was built on, other tenants slow the
+  same work by up to 1.8x for seconds to minutes at a time, so raw times
+  measure when a run happened: over ten 30 s runs, raw medians spread
+  12-32 % IQR/median and even raw minima 5-23 %, against 2-7 % scaled by
+  the reference (baseline.json).  The raw median, lower decile and minimum
+  are printed beside it.
 * ``setup_s``: median, over fresh interpreters started one at a time, of
   the time from process start to the workload's inputs being built
-  (``import revreact`` plus the public-API calls that build them).
+  (``import revreact`` plus the public-API calls that build them).  It is
+  not scaled by the reference computation: tried that way, its run-to-run
+  spread did not shrink (simulate-ref, vacuum-fine) or grew (ineq-lab).
 * ``peak_rss_mb``: peak resident memory of a fresh process that runs one
   instance; it is the first child, so ``RUSAGE_CHILDREN`` is its own peak.
 
@@ -53,10 +61,13 @@ from pathlib import Path
 from time import perf_counter, perf_counter_ns
 
 from hooks import Tracer
+from reference import REFERENCE_S, reference
 from workloads import ROOT, SRC, WORKLOADS, SetupError, scratch_dir
 
 HERE = Path(__file__).resolve().parent
-SETUP_REPEATS = 7
+SETUP_REPEATS = 11
+REF_REPS = 3  # least number of reference timings on each side of an instance
+REF_SHARE = 0.1  # reference time around an instance, as a share of the instance's time
 IMPORT_REPEATS = 3
 CHILD_TIMEOUT = 60.0
 IMPORTS = {  # metric -> module whose cumulative -X importtime entry it reports
@@ -140,13 +151,28 @@ def import_times(log: Path) -> dict:
     return {metric: cumulative.get(mod) for metric, mod in IMPORTS.items()}
 
 
+def reference_s() -> float:
+    """Seconds one call of the reference computation takes now."""
+    t0 = perf_counter_ns()
+    reference()
+    return (perf_counter_ns() - t0) / 1e9
+
+
+def reference_times(budget: float) -> list[float]:
+    """Times of at least REF_REPS reference calls that add up to `budget` s."""
+    times = []
+    while len(times) < REF_REPS or sum(times) < budget:
+        times.append(reference_s())
+    return times
+
+
 def median_or_none(values):
     return None if not values or None in values else statistics.median(values)
 
 
 def lower_decile(values):
     if len(values) < 2:
-        return values[0] if values else None
+        return values[0]
     return statistics.quantiles(values, n=10, method="inclusive")[0]
 
 
@@ -160,19 +186,27 @@ def end_to_end(name: str, seed: int, seconds: float, scratch: Path, tally: Tally
 
     wl = WORKLOADS[name](seed, scratch)
     wl.setup()
-    tally.attempt(wl)  # warm-up
+    warm_up = tally.attempt(wl)
+    reference_s()
+    budget = REF_SHARE / 2 * warm_up[0] / 1e9 if warm_up else 0.0
     walls = []
     deadline = perf_counter() + seconds
     while True:
+        refs = reference_times(budget)
         result = tally.attempt(wl)
         if result:
-            walls.append(result[0] / 1e9)
+            wall = result[0] / 1e9
+            budget = REF_SHARE / 2 * wall
+            refs += reference_times(budget)
+            walls.append((wall, wall / statistics.median(refs) * REFERENCE_S))
         if perf_counter() >= deadline:
             break
     if walls:
-        print(f"{name} median wall = {statistics.median(walls)!r} s over {len(walls)} instances")
+        raw = [w for w, _ in walls]
+        print(f"{name} raw wall over {len(raw)} instances: median {statistics.median(raw)!r} s, "
+              f"lower decile {lower_decile(raw)!r} s, minimum {min(raw)!r} s")
     return {
-        "wall_s": lower_decile(walls),
+        "wall_s": median_or_none([w for _, w in walls]),
         "setup_s": statistics.median(setups),
         "peak_rss_mb": peak_rss_mb,
     }
