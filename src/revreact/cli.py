@@ -62,7 +62,6 @@ CONFIG_KEYS = {
     "n_grid": (int, 2001, "grid for the homogeneous-ratio scan (>= 100)"),
     "k1": (float, 1.0, "reaction-defect coefficient for the split bound"),
     "floor_delta": (float, None, "sampler cell floor (default 1e-6*min(m1,m2))"),
-    "threads": (int, 1, "sampler threads; 1 keeps output deterministic"),
     "out": (str, None, "output path for CSV / report"),
 }
 
@@ -143,7 +142,6 @@ def _validate_values(values: dict) -> None:
         "n_cells": (values["n_cells"] >= 2, "n_cells must be >= 2"),
         "n_grid": (values["n_grid"] >= 100, "n_grid must be >= 100"),
         "k1": (values["k1"] > 0, "k1 must be > 0"),
-        "threads": (values["threads"] >= 1, "threads must be >= 1"),
         "n_samples": (values["n_samples"] >= 1, "n_samples must be >= 1"),
     }
     for key, (ok, msg) in simple.items():
@@ -316,8 +314,6 @@ def _config_from_args(args) -> RunConfig:
         cfg.values["out"] = args.out
     if getattr(args, "seed", None) is not None:
         cfg.values["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        cfg.values["threads"] = args.threads
     _validate_values(cfg.values)
     return cfg
 
@@ -374,7 +370,7 @@ def cmd_scan(args) -> int:
 def _verify_command(name: str, estimator, cfg: RunConfig) -> int:
     rep = estimator(
         cfg.params(), cfg.masses(), cfg.grid(), cfg.n_samples,
-        seed=cfg.seed, floor_delta=cfg.floor_delta, threads=cfg.threads,
+        seed=cfg.seed, floor_delta=cfg.floor_delta,
     )
     ok = rep.min_ratio > 0
     out = cfg.out or f"{name}-report.txt"
@@ -424,6 +420,17 @@ def cmd_fit_rate(args) -> int:
     return 0 if ok else 1
 
 
+def _diffusivity(text: str) -> float:
+    """argparse type of --da/--db: a finite number > 0 (usage error otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def cmd_duality(args) -> int:
     margin = duality_margin(args.da, args.db)
     print(f"margin={margin:.12g} condition_p2={'SATISFIED' if margin < 1 else 'VIOLATED'}")
@@ -464,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", help="path to key = value config file")
             sp.add_argument("--out", help="output path override")
             sp.add_argument("--seed", type=int, help="seed override")
-            sp.add_argument("--threads", type=int, help="sampler threads override")
             for key in numeric:
                 typ = CONFIG_KEYS[key][0]
                 sp.add_argument(
@@ -495,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_fit_rate)
 
     sp = sub.add_parser("duality", help="closeness margin of two diffusivities")
-    sp.add_argument("--da", type=float, required=True, help="first diffusivity")
-    sp.add_argument("--db", type=float, required=True, help="second diffusivity")
+    sp.add_argument("--da", type=_diffusivity, required=True, help="first diffusivity")
+    sp.add_argument("--db", type=_diffusivity, required=True, help="second diffusivity")
     sp.set_defaults(fn=cmd_duality)
 
     sp = sub.add_parser("validate", help="re-check run invariants on a written CSV")

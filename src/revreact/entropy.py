@@ -5,6 +5,10 @@ x ln(x/y) - (x - y) -> y as x -> 0, and (a-b)ln(a/b) -> 0 when a = b.  No
 epsilon floors are used anywhere; a state with exactly one of u^a v^b, w^g
 zero in some cell has infinite reaction dissipation, and that infinity is
 reported as a value, not raised as an error.
+
+Every reduction here acts on the last axis: for a State of (n,) fields it
+returns Python floats, for a stacked State of (S, n) fields arrays of S
+values, one per state, equal to S one-state calls.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Entropy diagnostics of one state.
+    """Entropy diagnostics of one state, or of each state of a stack.
 
     D = fisher_u + fisher_v + fisher_w + reaction_term, each nonnegative;
-    reaction_term (and hence D) may be math.inf.
+    reaction_term (and hence D) may be math.inf.  Fields are floats for one
+    state and arrays of one value per state for a stacked State.
     """
 
     E: float
@@ -48,7 +53,7 @@ def _entropy_density(f: np.ndarray) -> np.ndarray:
 def entropy(g: Grid1D, s: "State") -> float:
     """Boltzmann entropy integral(sum_x x(ln x - 1)) of a state."""
     total = _entropy_density(s.u) + _entropy_density(s.v) + _entropy_density(s.w)
-    return g.dx * float(total.sum())
+    return integrate(g, total)
 
 
 def q_gap(x: float, x_ref: float) -> float:
@@ -83,7 +88,7 @@ def relative_entropy(g: Grid1D, s: "State", e: Equilibrium) -> float:
         + _species_gap(s.v, e.b_inf)
         + _species_gap(s.w, e.c_inf)
     )
-    return g.dx * float(total.sum())
+    return integrate(g, total)
 
 
 def entropy_vs_average(g: Grid1D, f: np.ndarray) -> float:
@@ -113,10 +118,12 @@ def dissipation(
     """Entropy dissipation of a state, split into its four contributions.
 
     The equilibrium for the relative-entropy column is computed from the
-    state's own masses unless one is supplied.
+    state's own masses unless one is supplied; a stacked State needs one.
     """
     p.require_normalised("dissipation")
     if e is None:
+        if s.u.ndim != 1:
+            raise ValueError("a stacked state needs an explicit equilibrium")
         m = MassPair(
             p.gamma * integrate(g, s.u) + p.alpha * integrate(g, s.w),
             p.gamma * integrate(g, s.v) + p.beta * integrate(g, s.w),
@@ -128,7 +135,7 @@ def dissipation(
     a = stoich_pow(s.u, p.alpha) * stoich_pow(s.v, p.beta)
     b = stoich_pow(s.w, p.gamma)
     r = reaction_dissipation_density(a, b)
-    reaction = p.rate_factor * g.dx * float(r.sum())
+    reaction = p.rate_factor * integrate(g, r)
     return EntropyReport(
         E=entropy(g, s),
         E_rel=relative_entropy(g, s, e),
@@ -155,18 +162,20 @@ def ck_gap(
     """Relative entropy vs. the sum of squared L1 distances to equilibrium.
 
     The Csiszar-Kullback bound asserts lhs >= C * rhs over the conservation
-    manifold, so the state must carry the same masses as the equilibrium.
+    manifold, so the state (every state of a stack) must carry the same
+    masses as the equilibrium, to rtol relative to the equilibrium's.
     """
     m1_s = p.gamma * integrate(g, s.u) + p.alpha * integrate(g, s.w)
     m2_s = p.gamma * integrate(g, s.v) + p.beta * integrate(g, s.w)
     m1_e = p.gamma * e.a_inf + p.alpha * e.c_inf
     m2_e = p.gamma * e.b_inf + p.beta * e.c_inf
-    if not (
-        math.isclose(m1_s, m1_e, rel_tol=rtol) and math.isclose(m2_s, m2_e, rel_tol=rtol)
-    ):
+    close = np.isclose(m1_s, m1_e, rtol, 0.0) & np.isclose(m2_s, m2_e, rtol, 0.0)
+    if not np.all(close):
+        i = np.argmin(close)  # first state off the manifold
         raise ValueError(
-            f"state masses ({m1_s}, {m2_s}) do not match the equilibrium's "
-            f"({m1_e}, {m2_e})"
+            f"{np.size(close) - np.count_nonzero(close)} of {np.size(close)} state(s) do not "
+            f"carry the equilibrium's masses ({m1_e}, {m2_e}); the first has "
+            f"({np.ravel(m1_s)[i]}, {np.ravel(m2_s)[i]})"
         )
     du, dv, dw = l1_distances(g, s, e)
     return relative_entropy(g, s, e), du * du + dv * dv + dw * dw

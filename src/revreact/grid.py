@@ -2,7 +2,9 @@
 
 Fields are plain numpy arrays of cell averages.  Initial data given in
 closed form is sampled at cell midpoints, which keeps the discrete masses
-exact for the profiles used here.
+exact for the profiles used here.  The operators act on the last axis, so a
+stack of fields of shape (S, n_cells) is handled in one call; reductions
+return a Python float for one field and an array of S values for a stack.
 """
 
 from __future__ import annotations
@@ -32,15 +34,20 @@ class Grid1D:
 
 def _check(g: Grid1D, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
-    if f.shape != (g.n_cells,):
+    if f.shape[-1:] != (g.n_cells,):
         raise ValueError(f"field length {f.shape} does not match grid ({g.n_cells},)")
     return f
 
 
-def integrate(g: Grid1D, f: np.ndarray) -> float:
-    """Midpoint quadrature: dx * sum(f)."""
+def _reduced(x):
+    """A Python float for the reduction of one field, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def integrate(g: Grid1D, f: np.ndarray):
+    """Midpoint quadrature: dx * sum(f) over the last axis."""
     f = _check(g, f)
-    return g.dx * float(f.sum())
+    return _reduced(g.dx * f.sum(axis=-1))
 
 
 def laplacian_neumann(g: Grid1D, f: np.ndarray) -> np.ndarray:
@@ -53,12 +60,12 @@ def laplacian_neumann(g: Grid1D, f: np.ndarray) -> np.ndarray:
     f = _check(g, f)
     flux = np.diff(f) / g.dx
     out = np.zeros_like(f)
-    out[:-1] += flux
-    out[1:] -= flux
+    out[..., :-1] += flux
+    out[..., 1:] -= flux
     return out / g.dx
 
 
-def fisher_information(g: Grid1D, f: np.ndarray, d: float = 1.0) -> float:
+def fisher_information(g: Grid1D, f: np.ndarray, d: float = 1.0):
     """Discrete 4*d*integral(|grad sqrt(f)|^2), the Fisher information.
 
     Uses square-root differences across interior faces, so the value stays
@@ -69,4 +76,4 @@ def fisher_information(g: Grid1D, f: np.ndarray, d: float = 1.0) -> float:
         raise ValueError("fisher_information requires a nonnegative field")
     root = np.sqrt(f)
     jumps = np.diff(root)
-    return 4.0 * d * float(np.sum(jumps * jumps)) / g.dx
+    return _reduced(4.0 * d * np.sum(jumps * jumps, axis=-1) / g.dx)

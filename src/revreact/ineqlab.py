@@ -13,13 +13,16 @@ Four inequalities are probed by sampling the conservation manifold:
 
 All constants reported here are empirical min/max ratios over samples,
 not claims about the optimal constants, which are only known to exist.
+The sampled estimators draw sample i from its own default_rng([seed, i])
+and evaluate CHUNK samples at a time as one stacked State, so a report
+does not depend on CHUNK.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable
+import math
+from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
@@ -35,6 +38,8 @@ from .model import (
 from .solver import State, Trajectory
 
 _EREL_CUTOFF = 1e-12  # below this a sample is "at equilibrium", uninformative
+# samples evaluated together; the stacked fields hold 3 * CHUNK * n_cells floats
+CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -154,8 +159,7 @@ def _positive_shape(rng: np.random.Generator, n: int) -> np.ndarray:
     shape = rng.uniform(0.0, 1.0, n)
     if kind == 1:
         i0, i1 = np.sort(rng.integers(0, n, 2))
-        if i1 - i0 < n:  # keep at least one live cell
-            shape[i0:i1] = 0.0
+        shape[i0:i1] = 0.0  # i1 < n keeps at least one live cell
     elif kind == 2:
         shape = rng.exponential(1.0, n)
     if shape.sum() <= 0.0:
@@ -166,6 +170,41 @@ def _positive_shape(rng: np.random.Generator, n: int) -> np.ndarray:
 def default_floor(m: MassPair) -> float:
     """Strictly positive cell floor used by the sampler."""
     return 1e-6 * min(m.m1, m.m2)
+
+
+def _admissible_stack(
+    p: ReactionParams, m: MassPair, g: Grid1D, seeds, floor_delta: float | None
+) -> State:
+    """One admissible sample per seed, stacked as a State of (len(seeds), n) fields.
+
+    Each sample is drawn from its own default_rng(seed) in a fixed order (w's
+    mass fraction, then the w, u and v shapes); the floor, the rescaling to
+    the conserved masses and the feasibility check then act on the stack.
+    """
+    delta = default_floor(m) if floor_delta is None else floor_delta
+    if delta <= 0:
+        raise ValueError("floor_delta must be > 0")
+    bound = min(m.m1 / p.alpha, m.m2 / p.beta) - p.gamma * delta
+    if bound <= delta:
+        raise ValueError(f"floor_delta={delta} leaves no room for w below {bound}")
+    n = g.n_cells
+    frac = np.empty(len(seeds))
+    shapes = np.empty((len(seeds), 3, n))  # w, u, v
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        frac[k] = rng.uniform(0.02, 0.95)
+        for j in range(3):
+            shapes[k, j] = _positive_shape(rng, n)
+    means = shapes.mean(axis=-1)
+
+    w_mass = delta + frac * (bound - delta)
+    w = delta + shapes[:, 0] * (w_mass - delta)[:, None] / means[:, :1]
+    w_mass = integrate(g, w)
+    uv_means = np.stack([m.m1 - p.alpha * w_mass, m.m2 - p.beta * w_mass], axis=-1) / p.gamma
+    if not np.all(uv_means > delta):
+        raise ValueError("infeasible floor_delta for the drawn w mass")
+    uv = delta + shapes[:, 1:] * (uv_means - delta)[..., None] / means[:, 1:, None]
+    return State(0.0, uv[:, 0], uv[:, 1], w)
 
 
 def sample_admissible(
@@ -181,46 +220,8 @@ def sample_admissible(
     floored random shapes rescaled to the means the conservation laws
     dictate.  Both laws hold to rounding by construction.
     """
-    delta = default_floor(m) if floor_delta is None else floor_delta
-    if delta <= 0:
-        raise ValueError("floor_delta must be > 0")
-    bound = min(m.m1 / p.alpha, m.m2 / p.beta) - p.gamma * delta
-    if bound <= delta:
-        raise ValueError(f"floor_delta={delta} leaves no room for w below {bound}")
-    rng = np.random.default_rng(seed)
-    n = g.n_cells
-
-    w_mass = delta + rng.uniform(0.02, 0.95) * (bound - delta)
-    shape = _positive_shape(rng, n)
-    w = delta + shape * (w_mass - delta) / shape.mean()
-    w_mass = integrate(g, w)
-
-    mean_u = (m.m1 - p.alpha * w_mass) / p.gamma
-    mean_v = (m.m2 - p.beta * w_mass) / p.gamma
-    if mean_u <= delta or mean_v <= delta:
-        raise ValueError("infeasible floor_delta for the drawn w mass")
-    shape = _positive_shape(rng, n)
-    u = delta + shape * (mean_u - delta) / shape.mean()
-    shape = _positive_shape(rng, n)
-    v = delta + shape * (mean_v - delta) / shape.mean()
-    return AdmissibleSample(u=u, v=v, w=w, masses=m)
-
-
-def _sample_summary(i: int, sample: AdmissibleSample) -> dict:
-    return {
-        "index": i,
-        "mean_u": float(sample.u.mean()),
-        "mean_v": float(sample.v.mean()),
-        "mean_w": float(sample.w.mean()),
-    }
-
-
-def _map_indexed(fn: Callable[[int], Any], n: int, threads: int) -> list:
-    """fn over range(n), results in index order regardless of scheduling."""
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
+    s = _admissible_stack(p, m, g, [seed], floor_delta)
+    return AdmissibleSample(u=s.u[0], v=s.v[0], w=s.w[0], masses=m)
 
 
 def _ratio_report(pairs: list[tuple[float, Any]], pick_constant) -> RatioReport:
@@ -237,6 +238,46 @@ def _ratio_report(pairs: list[tuple[float, Any]], pick_constant) -> RatioReport:
     )
 
 
+def _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, pick_constant):
+    """Extremal ratios over the samples [seed, i], i < n_samples, CHUNK at a time.
+
+    evaluate(stack) returns, per stacked sample, its ratio, whether it is
+    informative, and whether it is an uninformative sample the bound does
+    not cover.  Uninformative samples are counted in n_uncovered or else in
+    n_skipped; an informative sample with a non-finite ratio is an error.
+    Only the first minimal and maximal sample of each chunk is kept, which
+    gives the same first-occurrence argmin/argmax as one pass over all.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    pairs = []
+    n_informative = n_uncovered = n_bad = 0
+    for start in range(0, n_samples, CHUNK):
+        seeds = [[seed, i] for i in range(start, min(start + CHUNK, n_samples))]
+        s = _admissible_stack(p, m, g, seeds, floor_delta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio, informative, uncovered = evaluate(s)
+        n_uncovered += int(np.count_nonzero(uncovered))
+        finite = informative & np.isfinite(ratio)
+        n_bad += int(np.count_nonzero(informative)) - int(np.count_nonzero(finite))
+        kept = np.flatnonzero(finite)
+        n_informative += kept.size
+        if kept.size:
+            for k in (int(kept[np.argmin(ratio[kept])]), int(kept[np.argmax(ratio[kept])])):
+                means = {f"mean_{c}": float(getattr(s, c)[k].mean()) for c in "uvw"}
+                pairs.append((float(ratio[k]), {"index": start + k, **means}))
+    if n_bad:
+        raise ValueError(f"{n_bad} of {n_samples} samples gave a non-finite ratio")
+    if not pairs:
+        raise ValueError("no informative samples")
+    return replace(
+        _ratio_report(pairs, pick_constant),
+        n_samples=n_informative,
+        n_skipped=n_samples - n_informative - n_uncovered,
+        n_uncovered=n_uncovered,
+    )
+
+
 def estimate_k2_split(
     p: ReactionParams,
     m: MassPair,
@@ -245,7 +286,6 @@ def estimate_k2_split(
     k1: float,
     seed: int = 0,
     floor_delta: float | None = None,
-    threads: int = 1,
 ) -> RatioReport:
     """Smallest variance coefficient K2 closing the square-root split bound.
 
@@ -266,43 +306,21 @@ def estimate_k2_split(
     e = compute_equilibrium(p, m)
     A, B, C = _sqrt_equilibrium(e)
 
-    def one(i: int):
-        sample = sample_admissible(p, m, g, [seed, i], floor_delta)
-        U, V, W = np.sqrt(sample.u), np.sqrt(sample.v), np.sqrt(sample.w)
-        lhs = (
-            integrate(g, (U - A) ** 2)
-            + integrate(g, (V - B) ** 2)
-            + integrate(g, (W - C) ** 2)
-        )
+    def evaluate(s: State):
+        U, V, W = np.sqrt(s.u), np.sqrt(s.v), np.sqrt(s.w)
+        lhs = integrate(g, (U - A) ** 2) + integrate(g, (V - B) ** 2) + integrate(g, (W - C) ** 2)
         defect = stoich_pow(W, p.gamma) - stoich_pow(U, p.alpha) * stoich_pow(V, p.beta)
         part1 = integrate(g, defect**2)
         part2 = (
-            integrate(g, (U - integrate(g, U)) ** 2)
-            + integrate(g, (V - integrate(g, V)) ** 2)
-            + integrate(g, (W - integrate(g, W)) ** 2)
+            integrate(g, (U - integrate(g, U)[:, None]) ** 2)
+            + integrate(g, (V - integrate(g, V)[:, None]) ** 2)
+            + integrate(g, (W - integrate(g, W)[:, None]) ** 2)
         )
-        if part2 == 0.0:
-            covered = lhs <= k1 * part1
-            return ("skipped" if covered else "uncovered", i)
-        return (max(0.0, (lhs - k1 * part1) / part2), _sample_summary(i, sample))
+        homogeneous = part2 == 0.0
+        ratio = np.maximum(0.0, (lhs - k1 * part1) / part2)
+        return ratio, ~homogeneous, homogeneous & ~(lhs <= k1 * part1)
 
-    results = _map_indexed(one, n_samples, threads)
-    pairs = [r for r in results if not isinstance(r[0], str)]
-    n_skipped = sum(1 for r in results if r[0] == "skipped")
-    n_uncovered = sum(1 for r in results if r[0] == "uncovered")
-    if not pairs:
-        raise ValueError("no informative samples")
-    rep = _ratio_report(pairs, pick_constant=lambda lo, hi: hi)
-    return RatioReport(
-        n_samples=rep.n_samples,
-        min_ratio=rep.min_ratio,
-        max_ratio=rep.max_ratio,
-        argmin=rep.argmin,
-        argmax=rep.argmax,
-        constant_estimate=rep.constant_estimate,
-        n_skipped=n_skipped,
-        n_uncovered=n_uncovered,
-    )
+    return _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, max)
 
 
 def estimate_eed_constant(
@@ -312,39 +330,22 @@ def estimate_eed_constant(
     n_samples: int,
     seed: int = 0,
     floor_delta: float | None = None,
-    threads: int = 1,
 ) -> RatioReport:
     """Minimal observed D / E_rel over admissible samples.
 
     Positivity of the minimum is the empirical content of the entropy
     entropy-dissipation bound D >= K * E_rel on the conservation manifold.
-    Samples with E_rel below cutoff are excluded; infinite-D samples count
-    as +inf ratios (they can never achieve the min unless all are).
+    Samples with E_rel below cutoff are excluded.  A NaN or infinite ratio
+    (which floored samples only give through underflow, e.g. at masses near
+    1e-300) raises ValueError naming how many samples gave one.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     e = compute_equilibrium(p, m)
 
-    def one(i: int):
-        sample = sample_admissible(p, m, g, [seed, i], floor_delta)
-        rep = dissipation(g, p, sample.state(), e)
-        if rep.E_rel < _EREL_CUTOFF:
-            return None
-        return (rep.D / rep.E_rel, _sample_summary(i, sample))
+    def evaluate(s: State):
+        rep = dissipation(g, p, s, e)
+        return rep.D / rep.E_rel, ~(rep.E_rel < _EREL_CUTOFF), False
 
-    results = [r for r in _map_indexed(one, n_samples, threads) if r is not None]
-    if not results:
-        raise ValueError("no informative samples")
-    rep = _ratio_report(results, pick_constant=lambda lo, hi: lo)
-    return RatioReport(
-        n_samples=rep.n_samples,
-        min_ratio=rep.min_ratio,
-        max_ratio=rep.max_ratio,
-        argmin=rep.argmin,
-        argmax=rep.argmax,
-        constant_estimate=rep.constant_estimate,
-        n_skipped=n_samples - rep.n_samples,
-    )
+    return _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, min)
 
 
 def trajectory_eed_constant(traj: Trajectory) -> RatioReport:
@@ -356,14 +357,8 @@ def trajectory_eed_constant(traj: Trajectory) -> RatioReport:
     ]
     if len(pairs) < 2:
         raise ValueError("trajectory has fewer than 2 informative rows")
-    rep = _ratio_report(pairs, pick_constant=lambda lo, hi: lo)
-    return RatioReport(
-        n_samples=rep.n_samples,
-        min_ratio=rep.min_ratio,
-        max_ratio=rep.max_ratio,
-        argmin=rep.argmin,
-        argmax=rep.argmax,
-        constant_estimate=rep.constant_estimate,
+    return replace(
+        _ratio_report(pairs, pick_constant=min),
         n_skipped=len(traj.rows) - len(pairs),
     )
 
@@ -375,37 +370,20 @@ def verify_csiszar_kullback(
     n_samples: int,
     seed: int = 0,
     floor_delta: float | None = None,
-    threads: int = 1,
 ) -> RatioReport:
     """Minimal observed E_rel / (sum of squared L1 distances) over samples.
 
     Positivity of the minimum verifies the Csiszar-Kullback bound on the
-    conservation manifold.
+    conservation manifold.  Samples with E_rel below cutoff or at zero L1
+    distance are excluded; a non-finite ratio raises ValueError.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     e = compute_equilibrium(p, m)
 
-    def one(i: int):
-        sample = sample_admissible(p, m, g, [seed, i], floor_delta)
-        lhs, rhs = ck_gap(g, p, sample.state(), e)
-        if lhs < _EREL_CUTOFF or rhs == 0.0:
-            return None
-        return (lhs / rhs, _sample_summary(i, sample))
+    def evaluate(s: State):
+        lhs, rhs = ck_gap(g, p, s, e)
+        return lhs / rhs, ~(lhs < _EREL_CUTOFF) & (rhs != 0.0), False
 
-    results = [r for r in _map_indexed(one, n_samples, threads) if r is not None]
-    if not results:
-        raise ValueError("no informative samples")
-    rep = _ratio_report(results, pick_constant=lambda lo, hi: lo)
-    return RatioReport(
-        n_samples=rep.n_samples,
-        min_ratio=rep.min_ratio,
-        max_ratio=rep.max_ratio,
-        argmin=rep.argmin,
-        argmax=rep.argmax,
-        constant_estimate=rep.constant_estimate,
-        n_skipped=n_samples - rep.n_samples,
-    )
+    return _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, min)
 
 
 def duality_margin(d_a: float, d_b: float) -> float:
@@ -414,8 +392,8 @@ def duality_margin(d_a: float, d_b: float) -> float:
     Always in [0, 1): the closer to 0, the more room the pair leaves in the
     exponent-2 duality condition used by the existence theory.
     """
-    if d_a <= 0 or d_b <= 0:
-        raise ValueError("diffusivities must be > 0")
+    if not all(d > 0 and math.isfinite(d) for d in (d_a, d_b)):
+        raise ValueError(f"diffusivities must be finite and > 0, got {d_a!r}, {d_b!r}")
     a, b = min(d_a, d_b), max(d_a, d_b)
     return (b - a) / (a + b)
 

@@ -39,7 +39,7 @@ class StepUnderflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class State:
-    """Concentrations at one instant; arrays share one grid."""
+    """Concentrations at one instant (or S stacked as (S, n) fields); arrays share one grid."""
 
     t: float
     u: np.ndarray
@@ -52,7 +52,7 @@ class State:
 
     @property
     def grid(self) -> Grid1D:
-        return Grid1D(len(self.u))
+        return Grid1D(self.u.shape[-1])
 
     def min_concentration(self) -> float:
         return float(min(self.u.min(), self.v.min(), self.w.min()))

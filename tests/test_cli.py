@@ -61,6 +61,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 1: unknown key 'bogus'"):
             parse_config("bogus = 3\n")
 
+    def test_removed_threads_key_is_unknown(self, tmp_path, capsys):
+        conf = _write(tmp_path, "threads = 2\n")
+        assert main(["verify-eed", "--config", str(conf), "--n-samples", "5"]) == 2
+        assert "unknown key 'threads'" in capsys.readouterr().err
+
     def test_bad_value_type(self):
         with pytest.raises(ConfigError, match="line 1: 'n_cells' expects int"):
             parse_config("n_cells = many\n")
@@ -194,6 +199,26 @@ class TestMain:
         code = main(["duality", "--da", "1", "--db", "3"])
         assert code == 0
         assert "margin=0.5 condition_p2=SATISFIED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("da,db,flag", [
+        ("nan", "1", "--da"), ("1", "inf", "--db"), ("0", "1", "--da"), ("1", "x", "--db"),
+    ])
+    def test_duality_rejects_bad_diffusivity(self, capsys, da, db, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["duality", "--da", da, "--db", db])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a finite number > 0" in err
+
+    def test_verify_eed_never_reports_nan(self, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        code = main([
+            "verify-eed", "--m1", "1e-300", "--m2", "1", "--n-samples", "50",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "gave a non-finite ratio" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_validate_fit_pipeline(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"

@@ -153,6 +153,44 @@ class TestDissipation:
         assert rep.D / rep.E_rel == pytest.approx(7.1173086978214578, rel=1e-11)
 
 
+class TestStackedStates:
+    """A State of (S, n) fields gives the same values as S one-state calls."""
+
+    @staticmethod
+    def _stack(g, rng, s_count):
+        fields = rng.uniform(0.05, 2.0, (3, s_count, g.n_cells))
+        return State(0.0, *fields), [State(0.0, *fields[:, k]) for k in range(s_count)]
+
+    def test_dissipation_matches_one_state_calls(self, g, eq):
+        p = ReactionParams(2, 1, 2, d1=0.5, d2=1.0, d3=2.0)
+        stacked, singles = self._stack(g, np.random.default_rng(23), 5)
+        rep = dissipation(g, p, stacked, eq)
+        for k, s in enumerate(singles):
+            one = dissipation(g, p, s, eq)
+            assert isinstance(one.D, float)
+            for name in ("E", "E_rel", "D", "fisher_u", "fisher_v", "fisher_w", "reaction_term"):
+                assert getattr(rep, name)[k] == getattr(one, name), name
+
+    def test_ck_gap_matches_one_state_calls(self, g, p, eq):
+        # homogeneous shifts (1+h, 1+h, 1-h) keep the masses of eq
+        h = np.array([0.1, -0.3, 0.0, 0.2])[:, None] * np.ones(g.n_cells)
+        stacked = State(0.0, 1 + h, 1 + h, 1 - h)
+        lhs, rhs = ck_gap(g, p, stacked, eq)
+        for k in range(len(h)):
+            assert (lhs[k], rhs[k]) == ck_gap(g, p, State(0.0, 1 + h[k], 1 + h[k], 1 - h[k]), eq)
+
+    def test_ck_gap_names_the_states_off_the_manifold(self, g, p, eq):
+        u = np.ones((3, g.n_cells))
+        u[1] = 1.1
+        with pytest.raises(ValueError, match=r"1 of 3 state\(s\) do not carry"):
+            ck_gap(g, p, State(0.0, u, np.ones_like(u), np.ones_like(u)), eq)
+
+    def test_stacked_state_needs_an_equilibrium(self, g, p):
+        stacked, _ = self._stack(g, np.random.default_rng(1), 2)
+        with pytest.raises(ValueError, match="explicit equilibrium"):
+            dissipation(g, p, stacked)
+
+
 class TestCkGap:
     def test_zero_at_equilibrium(self, g, p, eq):
         lhs, rhs = ck_gap(g, p, homogeneous(g, 1, 1, 1), eq)

@@ -26,6 +26,21 @@ def test_integrate_sine(g200):
     assert integrate(g200, np.sin(np.pi * x)) == pytest.approx(2 / np.pi, abs=1e-4)
 
 
+def test_reductions_over_a_stack_match_each_field(g200):
+    rng = np.random.default_rng(8)
+    stack = rng.uniform(0.0, 3.0, (4, 200))
+    for fn in (integrate, fisher_information):
+        values = fn(g200, stack)
+        assert values.shape == (4,)
+        for k in range(4):
+            one = fn(g200, stack[k])
+            assert type(one) is float
+            assert values[k] == one
+    np.testing.assert_array_equal(
+        laplacian_neumann(g200, stack)[2], laplacian_neumann(g200, stack[2])
+    )
+
+
 def test_length_mismatch(g200):
     with pytest.raises(ValueError):
         integrate(g200, np.ones(7))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revreact.entropy import dissipation
+from revreact.entropy import ck_gap, dissipation
 from revreact.grid import Grid1D, integrate
 from revreact.ineqlab import (
+    CHUNK,
     default_floor,
     duality_margin,
     elementary_inequality_gap,
@@ -137,10 +138,10 @@ class TestEed:
         assert rep.min_ratio > 0.0
         assert rep.n_samples == 100
 
-    def test_threads_do_not_change_the_report(self):
-        a = estimate_eed_constant(P111, M22, Grid1D(32), 60, seed=2, threads=1)
-        b = estimate_eed_constant(P111, M22, Grid1D(32), 60, seed=2, threads=4)
-        assert a == b
+    def test_underflowing_samples_raise_instead_of_reporting_nan(self):
+        # at m1 = 1e-300 the floored fields underflow and some ratios are NaN
+        with pytest.raises(ValueError, match=r"\d+ of 50 samples gave a non-finite ratio"):
+            estimate_eed_constant(P111, MassPair(1e-300, 1), Grid1D(64), 50)
 
     def test_trajectory_variant_positive_on_relaxing_run(self):
         g = Grid1D(64)
@@ -162,6 +163,81 @@ class TestEed:
         traj = run(p, s0, StepConfig(dt_init=1e-3, t_end=0.05, record_every=10))
         with pytest.raises(ValueError):
             trajectory_eed_constant(traj)
+
+
+def _k2_ratio(p, m, g, s, k1):
+    """Required K2 of one sample, or 'skipped'/'uncovered' for a homogeneous one."""
+    e = compute_equilibrium(p, m)
+    A, B, C = math.sqrt(e.a_inf), math.sqrt(e.b_inf), math.sqrt(e.c_inf)
+    U, V, W = np.sqrt(s.u), np.sqrt(s.v), np.sqrt(s.w)
+    lhs = integrate(g, (U - A) ** 2) + integrate(g, (V - B) ** 2) + integrate(g, (W - C) ** 2)
+    defect = stoich_pow(W, p.gamma) - stoich_pow(U, p.alpha) * stoich_pow(V, p.beta)
+    part1 = integrate(g, defect**2)
+    part2 = sum(integrate(g, (F - integrate(g, F)) ** 2) for F in (U, V, W))
+    if part2 == 0.0:
+        return "skipped" if lhs <= k1 * part1 else "uncovered"
+    return max(0.0, (lhs - k1 * part1) / part2)
+
+
+def _per_sample_report(p, m, g, n, seed, ratio_of):
+    """The one-sample-at-a-time loop that the chunked estimators replace."""
+    pairs, counts = [], {"skipped": 0, "uncovered": 0}
+    for i in range(n):
+        s = sample_admissible(p, m, g, [seed, i])
+        r = ratio_of(s)
+        if isinstance(r, str):
+            counts[r] += 1
+            continue
+        summary = {"index": i, "mean_u": float(s.u.mean()), "mean_v": float(s.v.mean()),
+                   "mean_w": float(s.w.mean())}
+        pairs.append((r, summary))
+    ratios = np.array([r for r, _ in pairs])
+    return {
+        "n_samples": len(pairs),
+        "min_ratio": ratios.min(),
+        "max_ratio": ratios.max(),
+        "argmin": pairs[int(np.argmin(ratios))][1],
+        "argmax": pairs[int(np.argmax(ratios))][1],
+        "n_skipped": counts["skipped"],
+        "n_uncovered": counts["uncovered"],
+    }
+
+
+class TestChunkBoundary:
+    """Reports over CHUNK + 37 samples equal the per-sample loop's."""
+
+    CONFIGS = [(P111, M22), (ReactionParams(1, 2, 3), MassPair(4, 3))]
+
+    @staticmethod
+    def _assert_matches(rep, ref):
+        assert rep.min_ratio == pytest.approx(ref["min_ratio"], rel=1e-12)
+        assert rep.max_ratio == pytest.approx(ref["max_ratio"], rel=1e-12)
+        for key in ("argmin", "argmax", "n_samples", "n_skipped", "n_uncovered"):
+            assert getattr(rep, key) == ref[key], key
+
+    @pytest.mark.parametrize("p,m", CONFIGS)
+    def test_eed_k2_and_ck(self, p, m):
+        g, n, seed = Grid1D(16), CHUNK + 37, 3
+        e = compute_equilibrium(p, m)
+
+        def eed(s):
+            rep = dissipation(g, p, s.state(), e)
+            return "skipped" if rep.E_rel < 1e-12 else rep.D / rep.E_rel
+
+        def ck(s):
+            lhs, rhs = ck_gap(g, p, s.state(), e)
+            return "skipped" if lhs < 1e-12 or rhs == 0.0 else lhs / rhs
+
+        self._assert_matches(
+            estimate_eed_constant(p, m, g, n, seed=seed), _per_sample_report(p, m, g, n, seed, eed)
+        )
+        self._assert_matches(
+            verify_csiszar_kullback(p, m, g, n, seed=seed), _per_sample_report(p, m, g, n, seed, ck)
+        )
+        self._assert_matches(
+            estimate_k2_split(p, m, g, n, k1=1.0, seed=seed),
+            _per_sample_report(p, m, g, n, seed, lambda s: _k2_ratio(p, m, g, s, 1.0)),
+        )
 
 
 class TestCsiszarKullback:
@@ -196,6 +272,11 @@ class TestDuality:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             duality_margin(0.0, 1.0)
+
+    @pytest.mark.parametrize("da,db", [(math.nan, 1.0), (1.0, math.inf), (1.0, -math.inf)])
+    def test_rejects_nonfinite(self, da, db):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            duality_margin(da, db)
 
 
 class TestElementaryInequality:
