@@ -11,19 +11,19 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid1D, integrate
+from .grid import Grid1D
 from .ineqlab import (
     duality_margin,
     estimate_eed_constant,
     scan_homogeneous_ratio,
     verify_csiszar_kullback,
 )
-from .model import MassPair, ReactionParams, compute_equilibrium
+from .model import MassPair, ReactionParams, compute_equilibrium, require, weighted_masses
 from .solver import CSV_COLUMNS, DiagnosticsRow, State, StepConfig, Trajectory, run
 
 
@@ -31,148 +31,141 @@ class ConfigError(ValueError):
     """Bad config file content; message carries line numbers when known."""
 
 
-PROFILES = ("homogeneous", "cosine-bump", "two-blocks")
+# initial profile name -> (mean amplitude, cell midpoints) -> field with that mean
+PROFILES = {
+    "homogeneous": lambda a, x: np.full_like(x, a),
+    "cosine-bump": lambda a, x: a * (1.0 - np.cos(2.0 * np.pi * x)),
+    "two-blocks": lambda a, x: np.where(x < 0.5, 2.0 * a, 0.0),
+}
 
-# key -> (type, default, help); None default means "no value unless given"
+# key -> (type, the model type whose field it sets or None for RunConfig's own
+# field, help); the default is that of the dataclass field of the same name
 CONFIG_KEYS = {
-    "alpha": (float, 1.0, "stoichiometric exponent of u (>= 1)"),
-    "beta": (float, 1.0, "stoichiometric exponent of v (>= 1)"),
-    "gamma": (float, 1.0, "stoichiometric exponent of w (>= 1)"),
-    "ell": (float, 1.0, "forward rate (> 0)"),
-    "k": (float, 1.0, "backward rate (> 0)"),
-    "d1": (float, 1.0, "diffusivity of u (> 0)"),
-    "d2": (float, 1.0, "diffusivity of v (> 0)"),
-    "d3": (float, 1.0, "diffusivity of w (> 0)"),
-    "m1": (float, None, "conserved mass gamma*int(u)+alpha*int(w) (> 0)"),
-    "m2": (float, None, "conserved mass gamma*int(v)+beta*int(w) (> 0)"),
-    "n_cells": (int, 200, "number of grid cells (>= 2)"),
-    "u_profile": (str, "homogeneous", "initial u: homogeneous|cosine-bump|two-blocks"),
-    "v_profile": (str, "homogeneous", "initial v profile"),
-    "w_profile": (str, "homogeneous", "initial w profile"),
-    "u_amplitude": (float, 1.0, "mean of the initial u profile"),
-    "v_amplitude": (float, 1.0, "mean of the initial v profile"),
-    "w_amplitude": (float, 0.0, "mean of the initial w profile"),
-    "dt_init": (float, 1e-3, "initial / maximal time step"),
-    "dt_min": (float, 1e-12, "abort threshold for the adaptive step"),
-    "safety": (float, 0.2, "max pointwise relative change per step (0 < s <= 1)"),
-    "t_end": (float, 10.0, "final time"),
-    "record_every": (int, 20, "diagnostics stride in accepted steps"),
-    "seed": (int, 0, "random seed for samplers"),
-    "n_samples": (int, 1000, "sample count for verification commands"),
-    "n_grid": (int, 2001, "grid for the homogeneous-ratio scan (>= 100)"),
-    "k1": (float, 1.0, "reaction-defect coefficient for the split bound"),
-    "floor_delta": (float, None, "sampler cell floor (default 1e-6*min(m1,m2))"),
+    "alpha": (float, ReactionParams, "stoichiometric exponent of u (>= 1)"),
+    "beta": (float, ReactionParams, "stoichiometric exponent of v (>= 1)"),
+    "gamma": (float, ReactionParams, "stoichiometric exponent of w (>= 1)"),
+    "ell": (float, ReactionParams, "forward rate (> 0; 1 unless alpha+beta == gamma)"),
+    "k": (float, ReactionParams, "backward rate (> 0; 1 unless alpha+beta == gamma)"),
+    "d1": (float, ReactionParams, "diffusivity of u (> 0)"),
+    "d2": (float, ReactionParams, "diffusivity of v (> 0)"),
+    "d3": (float, ReactionParams, "diffusivity of w (> 0)"),
+    "m1": (float, MassPair, "conserved mass gamma*int(u)+alpha*int(w) (> 0)"),
+    "m2": (float, MassPair, "conserved mass gamma*int(v)+beta*int(w) (> 0)"),
+    "n_cells": (int, Grid1D, "number of grid cells (>= 2)"),
+    "u_profile": (str, None, "initial u: " + "|".join(PROFILES)),
+    "v_profile": (str, None, "initial v profile"),
+    "w_profile": (str, None, "initial w profile"),
+    "u_amplitude": (float, None, "mean of the initial u profile (>= 0)"),
+    "v_amplitude": (float, None, "mean of the initial v profile (>= 0)"),
+    "w_amplitude": (float, None, "mean of the initial w profile (>= 0)"),
+    "dt_init": (float, StepConfig, "initial / maximal time step (> 0)"),
+    "dt_min": (float, StepConfig, "abort threshold for the adaptive step (<= dt_init)"),
+    "safety": (float, StepConfig, "max pointwise relative change per step (0 < s <= 1)"),
+    "t_end": (float, StepConfig, "final time (> 0)"),
+    "record_every": (int, StepConfig, "diagnostics stride in accepted steps (>= 1)"),
+    "seed": (int, None, "random seed for samplers (>= 0)"),
+    "n_samples": (int, None, "sample count for verification commands (>= 1)"),
+    "n_grid": (int, None, "grid for the homogeneous-ratio scan (>= 100)"),
+    "floor_delta": (float, None, "sampler cell floor (> 0; default 1e-6*min(m1,m2))"),
     "out": (str, None, "output path for CSV / report"),
 }
 
+# subcommand -> the config keys it reads; any other key is rejected.  Every
+# one reads the model and the initial profiles, from which the commands that
+# take m1, m2 derive the masses when those are not set.
+COMMAND_KEYS = {
+    command: ("alpha", "beta", "gamma", "ell", "k", "d1", "d2", "d3", "n_cells",
+              "u_profile", "v_profile", "w_profile", "u_amplitude", "v_amplitude",
+              "w_amplitude") + extra
+    for command, extra in {
+        "simulate": ("dt_init", "dt_min", "safety", "t_end", "record_every", "out"),
+        "equilibrium": ("m1", "m2"),
+        "scan": ("m1", "m2", "n_grid", "out"),
+        "verify-eed": ("m1", "m2", "n_samples", "seed", "floor_delta", "out"),
+        "verify-ck": ("m1", "m2", "n_samples", "seed", "floor_delta", "out"),
+    }.items()
+}
 
-@dataclass
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated config: everything needed to reproduce a run."""
+    """Validated config: the model objects of a run, its initial profiles and
+    the options of the sampling commands.  Each part checks its own fields."""
 
-    values: dict = field(default_factory=dict)
+    params: ReactionParams = field(default_factory=ReactionParams)
+    grid: Grid1D = field(default_factory=Grid1D)
+    step: StepConfig = field(default_factory=StepConfig)
+    explicit_masses: MassPair | None = None
+    u_profile: str = "homogeneous"
+    v_profile: str = "homogeneous"
+    w_profile: str = "homogeneous"
+    u_amplitude: float = 1.0
+    v_amplitude: float = 1.0
+    w_amplitude: float = 0.0
+    seed: int = 0
+    n_samples: int = 1000
+    n_grid: int = 2001
+    floor_delta: float | None = None
+    out: str | None = None
 
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key) from None
-
-    def params(self) -> ReactionParams:
-        return ReactionParams(
-            self.alpha, self.beta, self.gamma, self.ell, self.k,
-            self.d1, self.d2, self.d3,
-        )
-
-    def step_config(self, t_end: float | None = None) -> StepConfig:
-        return StepConfig(
-            dt_init=self.dt_init,
-            dt_min=self.dt_min,
-            safety=self.safety,
-            t_end=self.t_end if t_end is None else t_end,
-            record_every=self.record_every,
-        )
-
-    def grid(self) -> Grid1D:
-        return Grid1D(self.n_cells)
+    def __post_init__(self):
+        p = self.params
+        if p.alpha + p.beta != p.gamma and not p.is_normalised:
+            # the commands run the normalised system; rescale_params is library-only
+            key = "ell" if p.ell != 1.0 else "k"
+            raise ValueError(f"{key} must be 1 unless alpha + beta == gamma, "
+                             f"got {getattr(p, key)!r}")
+        for key in ("u_profile", "v_profile", "w_profile"):
+            if getattr(self, key) not in PROFILES:
+                raise ValueError(f"{key} must be one of {', '.join(PROFILES)}, "
+                                 f"got '{getattr(self, key)}'")
+        for key, least in (("u_amplitude", 0), ("v_amplitude", 0), ("w_amplitude", 0),
+                           ("seed", 0), ("n_samples", 1), ("n_grid", 100)):
+            value = getattr(self, key)
+            require(key, value, value >= least, f">= {least}")
+        if self.floor_delta is not None:
+            require("floor_delta", self.floor_delta, self.floor_delta > 0, "> 0")
 
     def masses(self) -> MassPair:
         """Explicit m1/m2 if given, else derived from the initial profiles."""
-        if self.m1 is not None and self.m2 is not None:
-            return MassPair(self.m1, self.m2)
-        g = self.grid()
-        s = self.initial_state()
-        return MassPair(
-            self.gamma * integrate(g, s.u) + self.alpha * integrate(g, s.w),
-            self.gamma * integrate(g, s.v) + self.beta * integrate(g, s.w),
+        return self.explicit_masses or MassPair(
+            *weighted_masses(self.params, self.grid, self.initial_state())
         )
 
     def initial_state(self) -> State:
-        g = self.grid()
-        x = g.cell_centers()
+        x = self.grid.cell_centers()
         return State(
             0.0,
-            _profile(self.u_profile, self.u_amplitude, x),
-            _profile(self.v_profile, self.v_amplitude, x),
-            _profile(self.w_profile, self.w_amplitude, x),
+            PROFILES[self.u_profile](self.u_amplitude, x),
+            PROFILES[self.v_profile](self.v_amplitude, x),
+            PROFILES[self.w_profile](self.w_amplitude, x),
         )
 
 
-def _profile(name: str, amplitude: float, x: np.ndarray) -> np.ndarray:
-    """Initial profile with mean `amplitude`, sampled at cell midpoints."""
-    if name == "homogeneous":
-        return np.full_like(x, amplitude)
-    if name == "cosine-bump":
-        return amplitude * (1.0 - np.cos(2.0 * np.pi * x))
-    if name == "two-blocks":
-        return np.where(x < 0.5, 2.0 * amplitude, 0.0)
-    raise ConfigError(f"unknown profile '{name}' (choose from {', '.join(PROFILES)})")
+def _build(values: dict) -> RunConfig:
+    """The config from typed key -> value pairs; unset keys keep their defaults."""
+
+    def given(part):
+        return {key: v for key, v in values.items() if CONFIG_KEYS[key][1] is part}
+
+    masses = given(MassPair)
+    if len(masses) == 1:
+        raise ValueError("m1 and m2 must be set together")
+    return RunConfig(
+        ReactionParams(**given(ReactionParams)), Grid1D(**given(Grid1D)),
+        StepConfig(**given(StepConfig)), MassPair(**masses) if masses else None,
+        **given(None),
+    )
 
 
-def _validate_values(values: dict) -> None:
-    simple = {
-        "alpha": (values["alpha"] >= 1, "alpha must be >= 1"),
-        "beta": (values["beta"] >= 1, "beta must be >= 1"),
-        "gamma": (values["gamma"] >= 1, "gamma must be >= 1"),
-        "ell": (values["ell"] > 0, "ell must be > 0"),
-        "k": (values["k"] > 0, "k must be > 0"),
-        "d1": (values["d1"] > 0, "d1 must be > 0"),
-        "d2": (values["d2"] > 0, "d2 must be > 0"),
-        "d3": (values["d3"] > 0, "d3 must be > 0"),
-        "n_cells": (values["n_cells"] >= 2, "n_cells must be >= 2"),
-        "n_grid": (values["n_grid"] >= 100, "n_grid must be >= 100"),
-        "k1": (values["k1"] > 0, "k1 must be > 0"),
-        "n_samples": (values["n_samples"] >= 1, "n_samples must be >= 1"),
-    }
-    for key, (ok, msg) in simple.items():
-        if not ok:
-            raise ConfigError(msg)
-    for key in ("m1", "m2", "floor_delta"):
-        if values[key] is not None and not values[key] > 0:
-            raise ConfigError(f"{key} must be > 0")
-    for key in ("u_profile", "v_profile", "w_profile"):
-        if values[key] not in PROFILES:
-            raise ConfigError(
-                f"{key} must be one of {', '.join(PROFILES)}, got '{values[key]}'"
-            )
-    for key in ("u_amplitude", "v_amplitude", "w_amplitude"):
-        if values[key] < 0:
-            raise ConfigError(f"{key} must be >= 0")
-    try:
-        StepConfig(
-            dt_init=values["dt_init"],
-            dt_min=values["dt_min"],
-            safety=values["safety"],
-            t_end=values["t_end"],
-            record_every=values["record_every"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def parse_config(text: str, command: str | None = None, overrides: dict | None = None):
+    """Parse a ``key = value`` config document and build the validated RunConfig.
 
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a ``key = value`` config document."""
-    values = {key: default for key, (_, default, _) in CONFIG_KEYS.items()}
+    `command` restricts the keys to those it reads (None accepts every key);
+    `overrides` holds typed values from flags, which win over the document.
+    """
+    allowed = COMMAND_KEYS[command] if command else CONFIG_KEYS
+    values: dict = {}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -183,6 +176,8 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        if key not in allowed:
+            raise ConfigError(f"line {lineno}: {command} does not read key '{key}'")
         if key in seen:
             raise ConfigError(
                 f"line {lineno}: duplicate key '{key}' (first set on line {seen[key]})"
@@ -190,17 +185,21 @@ def parse_config(text: str) -> RunConfig:
         seen[key] = lineno
         typ = CONFIG_KEYS[key][0]
         try:
-            values[key] = value if typ is str else typ(value)
+            values[key] = typ(value)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: '{key}' expects {typ.__name__}, got '{value}'"
             ) from None
-    _validate_values(values)
-    return RunConfig(values)
+    try:
+        return _build({**values, **(overrides or {})})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def load_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+def load_config(path: str | Path | None, command: str | None = None, overrides=None):
+    """parse_config of a file's text; no path means an empty document."""
+    text = Path(path).read_text(encoding="utf-8") if path else ""
+    return parse_config(text, command, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -291,45 +290,29 @@ def fit_rate(series) -> tuple[float, float, float]:
 # subcommands
 
 
-def _report(path: str | Path, pairs: list[tuple[str, object]]) -> None:
-    Path(path).write_text(
-        "".join(f"{key}: {value}\n" for key, value in pairs), encoding="utf-8"
-    )
-
-
-def _power_bound(x: float, floor: float = 1e-12) -> str:
-    b = max(x, floor)
-    return f"1e{math.ceil(math.log10(b))}"
+def _report(name: str, out: str | Path, ok: bool, pairs: list, summary: str) -> int:
+    """Write the `key: value` report, print the PASS/FAIL line, return the exit code."""
+    status = "PASS" if ok else "FAIL"
+    pairs = [("command", name), *pairs, ("status", status)]
+    Path(out).write_text("".join(f"{k}: {v}\n" for k, v in pairs), encoding="utf-8")
+    print(f"{status} {name} {summary}")
+    return 0 if ok else 1
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig(
-        {key: default for key, (_, default, _) in CONFIG_KEYS.items()}
-    )
-    for key in CONFIG_KEYS:
-        flag = getattr(args, f"opt_{key}", None)
-        if flag is not None:
-            cfg.values[key] = flag
-    if getattr(args, "out", None):
-        cfg.values["out"] = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.values["seed"] = args.seed
-    _validate_values(cfg.values)
-    return cfg
+    flags = {k: v for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None}
+    return load_config(args.config, args.command, flags)
 
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    out = cfg.out
-    if not out:
-        print("simulate: no output path (set 'out' in the config or pass --out)",
-              file=sys.stderr)
-        return 2
-    traj = run(cfg.params(), cfg.initial_state(), cfg.step_config())
-    write_trajectory_csv(out, traj)
+    if not cfg.out:
+        raise ConfigError("simulate needs an output path: set 'out' or pass --out")
+    traj = run(cfg.params, cfg.initial_state(), cfg.step)
+    write_trajectory_csv(cfg.out, traj)
     last = traj.rows[-1]
     print(
-        f"wrote {out}: {len(traj.rows)} rows, t_end={_fmt(last.t)}, "
+        f"wrote {cfg.out}: {len(traj.rows)} rows, t_end={_fmt(last.t)}, "
         f"E_rel={last.E_rel:.6e}"
     )
     return 0
@@ -337,22 +320,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     cfg = _config_from_args(args)
-    p = cfg.params()
-    eq = compute_equilibrium(p, cfg.masses())
+    eq = compute_equilibrium(cfg.params, cfg.masses())
     print(
         f"a_inf={eq.a_inf:.12g} b_inf={eq.b_inf:.12g} c_inf={eq.c_inf:.12g} "
-        f"residual<={_power_bound(eq.residual)}"
+        f"residual<=1e{math.ceil(math.log10(max(eq.residual, 1e-12)))}"
     )
     return 0
 
 
 def cmd_scan(args) -> int:
     cfg = _config_from_args(args)
-    rep = scan_homogeneous_ratio(cfg.params(), cfg.masses(), cfg.n_grid)
+    rep = scan_homogeneous_ratio(cfg.params, cfg.masses(), cfg.n_grid)
     ok = math.isfinite(rep.constant_estimate) and rep.constant_estimate > 0
-    out = cfg.out or "scan-report.txt"
-    _report(out, [
-        ("command", "scan"),
+    return _report("scan", cfg.out or "scan-report.txt", ok, [
         ("n_grid", rep.n_samples),
         ("min_ratio", rep.min_ratio),
         ("max_ratio", rep.max_ratio),
@@ -360,75 +340,47 @@ def cmd_scan(args) -> int:
         ("argmax_mu_c", rep.argmax),
         ("constant_estimate", rep.constant_estimate),
         ("zero_limit", rep.zero_limit),
-        ("status", "PASS" if ok else "FAIL"),
-    ])
-    print(f"{'PASS' if ok else 'FAIL'} scan constant_estimate={rep.constant_estimate!r} "
-          f"zero_limit={rep.zero_limit!r}")
-    return 0 if ok else 1
+    ], f"constant_estimate={rep.constant_estimate!r} zero_limit={rep.zero_limit!r}")
 
 
-def _verify_command(name: str, estimator, cfg: RunConfig) -> int:
-    rep = estimator(
-        cfg.params(), cfg.masses(), cfg.grid(), cfg.n_samples,
+def cmd_verify(args) -> int:
+    cfg = _config_from_args(args)
+    estimator = {"verify-eed": estimate_eed_constant, "verify-ck": verify_csiszar_kullback}
+    rep = estimator[args.command](
+        cfg.params, cfg.masses(), cfg.grid, cfg.n_samples,
         seed=cfg.seed, floor_delta=cfg.floor_delta,
     )
-    ok = rep.min_ratio > 0
-    out = cfg.out or f"{name}-report.txt"
-    _report(out, [
-        ("command", name),
+    return _report(args.command, cfg.out or f"{args.command}-report.txt", rep.min_ratio > 0, [
         ("n_samples", rep.n_samples),
         ("seed", cfg.seed),
         ("min_ratio", rep.min_ratio),
         ("max_ratio", rep.max_ratio),
         ("argmin", rep.argmin),
         ("constant_estimate", rep.constant_estimate),
-        ("status", "PASS" if ok else "FAIL"),
-    ])
-    print(f"{'PASS' if ok else 'FAIL'} {name} min_ratio={rep.min_ratio!r} "
-          f"n_samples={rep.n_samples}")
-    return 0 if ok else 1
-
-
-def cmd_verify_eed(args) -> int:
-    return _verify_command("verify-eed", estimate_eed_constant, _config_from_args(args))
-
-
-def cmd_verify_ck(args) -> int:
-    return _verify_command("verify-ck", verify_csiszar_kullback, _config_from_args(args))
+    ], f"min_ratio={rep.min_ratio!r} n_samples={rep.n_samples}")
 
 
 def cmd_fit_rate(args) -> int:
     rows = read_csv_rows(args.csv)
-    if args.column not in CSV_COLUMNS:
-        print(f"fit-rate: unknown column '{args.column}'", file=sys.stderr)
-        return 2
     series = [(row.t, getattr(row, args.column)) for row in rows]
     k_fit, intercept, r2 = fit_rate(series)
     ok = k_fit > 0 and r2 >= args.r2_min
-    out = args.out or "fit-rate-report.txt"
-    _report(out, [
-        ("command", "fit-rate"),
+    return _report("fit-rate", args.out or "fit-rate-report.txt", ok, [
         ("csv", args.csv),
         ("column", args.column),
         ("K_fit", k_fit),
         ("intercept", intercept),
         ("r_squared", r2),
         ("r2_min", args.r2_min),
-        ("status", "PASS" if ok else "FAIL"),
-    ])
-    print(f"{'PASS' if ok else 'FAIL'} fit-rate K_fit={k_fit!r} r_squared={r2!r}")
-    return 0 if ok else 1
+    ], f"K_fit={k_fit!r} r_squared={r2!r}")
 
 
 def _diffusivity(text: str) -> float:
     """argparse type of --da/--db: a finite number > 0 (usage error otherwise)."""
     try:
-        value = float(text)
+        return ReactionParams(d1=float(text)).d1
     except ValueError:
-        value = math.nan
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}") from None
 
 
 def cmd_duality(args) -> int:
@@ -448,9 +400,10 @@ def cmd_validate(args) -> int:
 
 
 def _config_epilog() -> str:
-    lines = ["config keys (key = value, '#' comments):"]
-    for key, (typ, default, helptext) in CONFIG_KEYS.items():
-        shown = "unset" if default is None else default
+    lines = ["config keys (key = value, '#' comments; finite numbers only):"]
+    for key, (typ, part, helptext) in CONFIG_KEYS.items():
+        default = next(f.default for f in fields(part or RunConfig) if f.name == key)
+        shown = "unset" if default in (None, MISSING) else default
         lines.append(f"  {key:<14} {typ.__name__:<5} default={shown!r:<8} {helptext}")
     return "\n".join(lines)
 
@@ -465,37 +418,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, helptext, config=True, numeric=()):
-        sp = sub.add_parser(name, help=helptext)
-        if config:
-            sp.add_argument("--config", help="path to key = value config file")
-            sp.add_argument("--out", help="output path override")
-            sp.add_argument("--seed", type=int, help="seed override")
-            for key in numeric:
-                typ = CONFIG_KEYS[key][0]
-                sp.add_argument(
-                    f"--{key.replace('_', '-')}", dest=f"opt_{key}", type=typ,
-                    help=f"override config key {key}",
-                )
+    def add(name, fn, helptext, flags):
+        keys = COMMAND_KEYS[name]
+        sp = sub.add_parser(name, help=helptext, epilog=f"config keys: {', '.join(keys)}")
+        sp.add_argument("--config", help="path to key = value config file")
+        for key in flags:
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                            type=CONFIG_KEYS[key][0], help=f"override config key {key}")
         sp.set_defaults(fn=fn)
-        return sp
 
+    masses = ("alpha", "beta", "gamma", "m1", "m2")
     add("simulate", cmd_simulate, "integrate a run and write the trajectory CSV",
-        numeric=("t_end", "n_cells", "dt_init", "record_every"))
-    add("equilibrium", cmd_equilibrium, "print the detailed-balance equilibrium",
-        numeric=("alpha", "beta", "gamma", "m1", "m2"))
+        ("t_end", "n_cells", "dt_init", "record_every", "out"))
+    add("equilibrium", cmd_equilibrium, "print the detailed-balance equilibrium", masses)
     add("scan", cmd_scan, "scan the homogeneous distance/defect ratio",
-        numeric=("alpha", "beta", "gamma", "m1", "m2", "n_grid"))
-    add("verify-eed", cmd_verify_eed,
-        "sample the entropy / entropy-dissipation ratio",
-        numeric=("alpha", "beta", "gamma", "m1", "m2", "n_samples", "n_cells"))
-    add("verify-ck", cmd_verify_ck,
-        "sample the Csiszar-Kullback ratio",
-        numeric=("alpha", "beta", "gamma", "m1", "m2", "n_samples", "n_cells"))
+        masses + ("n_grid", "out"))
+    add("verify-eed", cmd_verify, "sample the entropy / entropy-dissipation ratio",
+        masses + ("n_samples", "n_cells", "seed", "out"))
+    add("verify-ck", cmd_verify, "sample the Csiszar-Kullback ratio",
+        masses + ("n_samples", "n_cells", "seed", "out"))
 
     sp = sub.add_parser("fit-rate", help="fit an exponential decay rate to a CSV column")
     sp.add_argument("--csv", required=True, help="trajectory CSV path")
-    sp.add_argument("--column", default="E_rel", help="column to fit (default E_rel)")
+    sp.add_argument("--column", default="E_rel", choices=CSV_COLUMNS, metavar="COLUMN",
+                    help="column to fit (default E_rel)")
     sp.add_argument("--r2-min", type=float, default=0.999, help="PASS threshold on r^2")
     sp.add_argument("--out", help="report path")
     sp.set_defaults(fn=cmd_fit_rate)
@@ -522,7 +468,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

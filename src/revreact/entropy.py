@@ -21,7 +21,14 @@ import numpy as np
 from scipy.special import xlogy
 
 from .grid import Grid1D, fisher_information, integrate
-from .model import Equilibrium, MassPair, ReactionParams, compute_equilibrium, stoich_pow
+from .model import (
+    Equilibrium,
+    MassPair,
+    ReactionParams,
+    compute_equilibrium,
+    stoich_pow,
+    weighted_masses,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import State
@@ -70,13 +77,18 @@ def _species_gap(f: np.ndarray, ref: float) -> np.ndarray:
 
     Evaluated as ref * ((1+h) log1p(h) - h) with h = x/ref - 1: the naive
     form cancels catastrophically near x = ref, where the true value is
-    ~ (x-ref)^2 / (2 ref).  The density is provably >= 0, so residual
-    rounding (~1e-32) is clamped away.
+    ~ (x-ref)^2 / (2 ref).  Where x < ~1e-16 * ref, h rounds to exactly -1
+    and 0 * log1p(-1) is NaN; there the naive form ref - x + x ln(x/ref)
+    has no cancellation and tends to ref as x -> 0.  The density is
+    provably >= 0, so residual rounding (~1e-32) is clamped away.
     """
     h = f / ref - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        raw = ref * ((1.0 + h) * np.log1p(h) - h)
-    return np.maximum(np.where(f == 0.0, ref, raw), 0.0)
+        gap = ref * ((1.0 + h) * np.log1p(h) - h)
+        tiny = h == -1.0
+        if tiny.any():
+            gap = np.where(tiny, ref - f + xlogy(f, f) - f * math.log(ref), gap)
+    return np.maximum(gap, 0.0)
 
 
 def relative_entropy(g: Grid1D, s: "State", e: Equilibrium) -> float:
@@ -124,11 +136,7 @@ def dissipation(
     if e is None:
         if s.u.ndim != 1:
             raise ValueError("a stacked state needs an explicit equilibrium")
-        m = MassPair(
-            p.gamma * integrate(g, s.u) + p.alpha * integrate(g, s.w),
-            p.gamma * integrate(g, s.v) + p.beta * integrate(g, s.w),
-        )
-        e = compute_equilibrium(p, m)
+        e = compute_equilibrium(p, MassPair(*weighted_masses(p, g, s)))
     fu = fisher_information(g, s.u, p.d1)
     fv = fisher_information(g, s.v, p.d2)
     fw = fisher_information(g, s.w, p.d3)
@@ -165,8 +173,7 @@ def ck_gap(
     manifold, so the state (every state of a stack) must carry the same
     masses as the equilibrium, to rtol relative to the equilibrium's.
     """
-    m1_s = p.gamma * integrate(g, s.u) + p.alpha * integrate(g, s.w)
-    m2_s = p.gamma * integrate(g, s.v) + p.beta * integrate(g, s.w)
+    m1_s, m2_s = weighted_masses(p, g, s)
     m1_e = p.gamma * e.a_inf + p.alpha * e.c_inf
     m2_e = p.gamma * e.b_inf + p.beta * e.c_inf
     close = np.isclose(m1_s, m1_e, rtol, 0.0) & np.isclose(m2_s, m2_e, rtol, 0.0)

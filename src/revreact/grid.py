@@ -18,11 +18,11 @@ import numpy as np
 class Grid1D:
     """n_cells equal cells covering [0,1]; dx = 1/n_cells."""
 
-    n_cells: int
+    n_cells: int = 200
 
     def __post_init__(self):
-        if self.n_cells < 2:
-            raise ValueError("need at least 2 cells")
+        if not self.n_cells >= 2:
+            raise ValueError(f"n_cells must be >= 2, got {self.n_cells!r}")
 
     @property
     def dx(self) -> float:

@@ -16,6 +16,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+from .grid import Grid1D, integrate
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .solver import State
+
+
+def require(name: str, value, ok: bool, rule: str) -> None:
+    """Raise a ValueError naming `name` unless `ok` holds and `value` is finite.
+
+    Callers state `ok` in NaN-safe form (`x >= 1`, never `not x < 1`), so a
+    NaN fails the rule itself.  The finiteness test is written as a chained
+    comparison so that integers of any size pass it without conversion.
+    """
+    finite = -math.inf < value < math.inf
+    if not (ok and finite):
+        qualifier = "" if finite else "finite and "
+        raise ValueError(f"{name} must be {qualifier}{rule}, got {value!r}")
 
 
 def stoich_pow(x, e: float):
@@ -37,9 +56,9 @@ def stoich_pow(x, e: float):
 class ReactionParams:
     """Stoichiometry, reaction rates and diffusivities of the system."""
 
-    alpha: float
-    beta: float
-    gamma: float
+    alpha: float = 1.0
+    beta: float = 1.0
+    gamma: float = 1.0
     ell: float = 1.0
     k: float = 1.0
     d1: float = 1.0
@@ -47,11 +66,12 @@ class ReactionParams:
     d3: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha >= 1 and self.beta >= 1 and self.gamma >= 1):
-            raise ValueError("stoichiometric exponents must be >= 1")
+        for name in ("alpha", "beta", "gamma"):
+            value = getattr(self, name)
+            require(name, value, value >= 1, ">= 1")
         for name in ("ell", "k", "d1", "d2", "d3"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            require(name, value, value > 0, "> 0")
 
     @property
     def is_normalised(self) -> bool:
@@ -88,8 +108,16 @@ class MassPair:
     m2: float
 
     def __post_init__(self):
-        if not (self.m1 > 0 and self.m2 > 0):
-            raise ValueError("masses must be > 0")
+        require("m1", self.m1, self.m1 > 0, "> 0")
+        require("m2", self.m2, self.m2 > 0, "> 0")
+
+
+def weighted_masses(p: ReactionParams, g: Grid1D, s: "State"):
+    """The conserved integrals (M1, M2) of a state, or arrays of them for a stack."""
+    return (
+        p.gamma * integrate(g, s.u) + p.alpha * integrate(g, s.w),
+        p.gamma * integrate(g, s.v) + p.beta * integrate(g, s.w),
+    )
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,16 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .entropy import dissipation, l1_distances
-from .grid import Grid1D, integrate, laplacian_neumann
-from .model import Equilibrium, MassPair, ReactionParams, compute_equilibrium, stoich_pow
+from .grid import Grid1D, laplacian_neumann
+from .model import (
+    Equilibrium,
+    MassPair,
+    ReactionParams,
+    compute_equilibrium,
+    require,
+    stoich_pow,
+    weighted_masses,
+)
 
 # floor, as a fraction of the state's sup, added to the denominator of the
 # pointwise relative-change test so that cells at vacuum do not force
@@ -69,14 +77,11 @@ class StepConfig:
     record_every: int = 20
 
     def __post_init__(self):
-        if not (0 < self.dt_min <= self.dt_init):
-            raise ValueError("need 0 < dt_min <= dt_init")
-        if not (0 < self.safety <= 1):
-            raise ValueError("need 0 < safety <= 1")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be > 0")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        require("dt_init", self.dt_init, self.dt_init > 0, "> 0")
+        require("dt_min", self.dt_min, 0 < self.dt_min <= self.dt_init, "> 0 and <= dt_init")
+        require("safety", self.safety, 0 < self.safety <= 1, "> 0 and <= 1")
+        require("t_end", self.t_end, self.t_end > 0, "> 0")
+        require("record_every", self.record_every, self.record_every >= 1, ">= 1")
 
 
 @dataclass(frozen=True)
@@ -233,23 +238,23 @@ def _attempt_step(
     dv = (c2 - p.beta * sw) / p.gamma - math.fsum(v1)
     u1[np.argmax(u1)] += du
     v1[np.argmax(v1)] += dv
-    if min(u1.min(), v1.min(), w1.min()) < 0.0:
+    # every test below is written to fail on NaN, which compares false
+    if not (u1.min() >= 0.0 and v1.min() >= 0.0 and w1.min() >= 0.0):
         return None
 
     scale = max(s.u.max(), s.v.max(), s.w.max())
     u2 = diffusion.solve(u1, p.d1, dt)
     v2 = diffusion.solve(v1, p.d2, dt)
     w2 = diffusion.solve(w1, p.d3, dt)
-    if min(u2.min(), v2.min(), w2.min()) < 0.0:
+    if not (u2.min() >= 0.0 and v2.min() >= 0.0 and w2.min() >= 0.0):
         return None
     if scale > 0.0:
         floor = _REL_CHANGE_FLOOR * scale
-        change = max(
-            np.max(np.abs(u2 - s.u) / (s.u + floor)),
-            np.max(np.abs(v2 - s.v) / (s.v + floor)),
-            np.max(np.abs(w2 - s.w) / (s.w + floor)),
-        )
-        if change > safety:
+        if not (
+            np.max(np.abs(u2 - s.u) / (s.u + floor)) <= safety
+            and np.max(np.abs(v2 - s.v) / (s.v + floor)) <= safety
+            and np.max(np.abs(w2 - s.w) / (s.w + floor)) <= safety
+        ):
             return None
     return State(s.t + dt, u2, v2, w2)
 
@@ -263,11 +268,12 @@ def _diagnostics(
 ) -> DiagnosticsRow:
     rep = dissipation(g, p, s, e)
     du, dv, dw = l1_distances(g, s, e)
+    mass1, mass2 = weighted_masses(p, g, s)
     return DiagnosticsRow(
         t=s.t,
         dt=dt,
-        mass1=p.gamma * integrate(g, s.u) + p.alpha * integrate(g, s.w),
-        mass2=p.gamma * integrate(g, s.v) + p.beta * integrate(g, s.w),
+        mass1=mass1,
+        mass2=mass2,
         E=rep.E,
         E_rel=rep.E_rel,
         D=rep.D,
@@ -291,15 +297,14 @@ def run(p: ReactionParams, s0: State, cfg: StepConfig) -> Trajectory:
     StepUnderflowError when halving reaches dt_min.
     """
     p.require_normalised("run")
+    if not all(np.isfinite(f).all() for f in (s0.u, s0.v, s0.w)):
+        raise ValueError("initial state has non-finite cells")
     if s0.min_concentration() < 0:
         raise ValueError("initial state has negative cells")
     if s0.t != 0.0:
         raise ValueError("runs start at t = 0")
     g = s0.grid
-    m = MassPair(
-        p.gamma * integrate(g, s0.u) + p.alpha * integrate(g, s0.w),
-        p.gamma * integrate(g, s0.v) + p.beta * integrate(g, s0.w),
-    )
+    m = MassPair(*weighted_masses(p, g, s0))
     eq = compute_equilibrium(p, m)
     diffusion = _DiffusionSolver(g)
     anchors = _weighted_sums(p, s0)

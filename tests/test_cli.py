@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from revreact.cli import (
+    COMMAND_KEYS,
+    CONFIG_KEYS,
     ConfigError,
+    RunConfig,
     fit_rate,
     main,
     parse_config,
@@ -39,15 +43,15 @@ record_every = 10
 class TestParseConfig:
     def test_minimal_fills_defaults(self):
         cfg = parse_config("alpha = 1\nn_cells = 100\nt_end = 10\n")
-        assert cfg.alpha == 1.0
-        assert cfg.n_cells == 100
-        assert cfg.dt_init == 1e-3
-        assert cfg.safety == 0.2
+        assert cfg.params.alpha == 1.0
+        assert cfg.grid.n_cells == 100
+        assert cfg.step.dt_init == 1e-3
+        assert cfg.step.safety == 0.2
         assert cfg.u_profile == "homogeneous"
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# comment\n\nalpha = 2  # trailing\n")
-        assert cfg.alpha == 2.0
+        assert cfg.params.alpha == 2.0
 
     def test_invariant_violation_names_key(self):
         with pytest.raises(ConfigError, match="alpha must be >= 1"):
@@ -83,10 +87,129 @@ class TestParseConfig:
             parse_config("dt_init = 1e-8\ndt_min = 1e-3\n")
 
 
+def _with(config: str, key: str, value: str) -> str:
+    """`config` with `key` set to `value`, replacing any line that sets it."""
+    lines = [line for line in config.splitlines() if line.split("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+class TestBoundary:
+    """Every rejected input fails at load, exit 2, with a message naming its key."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("t_end", "inf"),  # the step loop would never run, leaving a 1-row CSV
+        ("u_amplitude", "nan"),
+        ("d1", "inf"),
+        ("alpha", "inf"),
+        ("m1", "5"),  # simulate derives its masses from the profiles
+        ("ell", "2"),  # alpha + beta != gamma, so the rates must be normalised
+    ])
+    def test_simulate_repros_exit_2_naming_key(self, tmp_path, capsys, key, value):
+        conf = _write(tmp_path, _with(REFERENCE_CONFIG, key, value))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key", [
+        ("simulate", "seed"), ("simulate", "n_samples"), ("equilibrium", "out"),
+        ("equilibrium", "t_end"), ("scan", "seed"), ("verify-eed", "dt_init"),
+    ])
+    def test_subcommand_rejects_keys_it_does_not_read(self, command, key):
+        with pytest.raises(ConfigError, match=f"line 2: {command} does not read key '{key}'"):
+            parse_config(f"alpha = 1\n{key} = 1\n", command)
+
+    def test_removed_k1_key_is_unknown(self):
+        with pytest.raises(ConfigError, match="unknown key 'k1'"):
+            parse_config("k1 = 1\n")
+
+    def test_masses_are_set_together(self):
+        with pytest.raises(ConfigError, match="m1 and m2 must be set together"):
+            parse_config("m1 = 2\n", "equilibrium")
+
+    def test_rates_allowed_only_when_they_cannot_be_normalised(self):
+        cfg = parse_config("alpha = 1\nbeta = 2\ngamma = 3\nell = 8\n", "simulate")
+        assert cfg.params.rate_factor == pytest.approx(2.0)
+        with pytest.raises(ConfigError, match="k must be 1 unless alpha \\+ beta == gamma"):
+            parse_config("k = 0.5\n", "equilibrium")
+
+    def test_flag_overrides_are_validated(self, capsys):
+        assert main(["equilibrium", "--m1", "nan", "--m2", "2"]) == 2
+        assert "m1 must be finite and > 0" in capsys.readouterr().err
+
+    def test_large_amplitude_is_a_domain_error(self, tmp_path, capsys):
+        # overflows the mass sums: exit 1 with one line, not a traceback
+        conf = _write(tmp_path, _with(REFERENCE_CONFIG, "v_amplitude", "1e308"))
+        assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# valid values keep every in-process run small: n_cells <= 16, t_end <= 0.05
+_VALID = {
+    "alpha": ("1", "2"), "beta": ("1", "2"), "gamma": ("1", "3"), "ell": ("1", "0.5"),
+    "k": ("1", "2"), "d1": ("1", "0.1"), "d2": ("1", "2"), "d3": ("1", "0.5"),
+    "m1": ("2", "0.5"), "m2": ("2", "1e-3"), "n_cells": ("4", "16"),
+    "u_profile": ("homogeneous", "cosine-bump", "two-blocks"),
+    "v_profile": ("homogeneous", "two-blocks"), "w_profile": ("homogeneous", "cosine-bump"),
+    "u_amplitude": ("1", "0.5"), "v_amplitude": ("1", "2"), "w_amplitude": ("0.5",),
+    "dt_init": ("1e-2", "1e-3"), "dt_min": ("1e-12", "1e-4"), "safety": ("0.2", "1"),
+    "t_end": ("0.01", "0.05"), "record_every": ("1", "5"), "seed": ("0", "7"),
+    "n_samples": ("5", "20"), "n_grid": ("100", "150"), "floor_delta": ("1e-6", "0.01"),
+    "out": ("report.txt",),
+}
+_INVALID = ("0", "-1", "nan", "inf", "-inf", "1e308", "many")
+_NEVER_VALID = ("-1", "nan", "inf", "-inf")  # rejected for every key but out
+
+
+def _entries(keys, invalid=_INVALID):
+    entry = st.sampled_from(sorted(keys)).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(_VALID[key] + invalid))
+    )
+    return st.lists(entry, max_size=5, unique_by=lambda e: e[0])
+
+
+class TestConfigFuzz:
+    def test_every_key_has_fuzz_values(self):
+        assert set(_VALID) == set(CONFIG_KEYS)
+
+    @given(entries=_entries(CONFIG_KEYS))
+    @settings(max_examples=150, deadline=None)
+    def test_parse_config_builds_or_names_the_problem(self, entries):
+        text = "".join(f"{key} = {value}\n" for key, value in entries)
+        for command in (None, *COMMAND_KEYS):
+            try:
+                cfg = parse_config(text, command)
+            except ConfigError as exc:
+                assert str(exc)
+                continue
+            assert isinstance(cfg, RunConfig)
+            for key, value in entries:
+                assert key == "out" or value not in _NEVER_VALID, (command, key, value)
+
+    @given(entries=_entries(COMMAND_KEYS["simulate"]).filter(
+        lambda es: ("t_end", "1e308") not in es  # a finite but endless run
+    ))
+    @example(entries=[("alpha", "1e308")])
+    @example(entries=[("d1", "1e308")])
+    @example(entries=[("dt_init", "1e308"), ("dt_min", "1e308")])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_simulate_exits_0_1_or_2(self, tmp_path, capsys, entries):
+        # small runs: n_cells <= 16 and t_end <= 0.05 unless set otherwise
+        text = "n_cells = 8\nt_end = 0.01\n"
+        for key, value in entries:
+            text = _with(text, key, value)
+        conf = _write(tmp_path, text)
+        code = main(["simulate", "--config", str(conf), "--out", str(tmp_path / "f.csv")])
+        assert code in (0, 1, 2)
+        capsys.readouterr()
+
+
 class TestProfiles:
     def test_profile_means_match_amplitudes(self):
         cfg = parse_config(REFERENCE_CONFIG)
-        g = cfg.grid()
+        g = cfg.grid
         s = cfg.initial_state()
         assert integrate(g, s.u) == pytest.approx(2.0, rel=1e-13)
         assert integrate(g, s.v) == pytest.approx(2.0, rel=1e-13)
@@ -137,7 +260,7 @@ class TestFitRate:
 @pytest.fixture
 def small_traj():
     cfg = parse_config(REFERENCE_CONFIG)
-    return run(cfg.params(), cfg.initial_state(), cfg.step_config())
+    return run(cfg.params, cfg.initial_state(), cfg.step)
 
 
 class TestCsv:
@@ -162,7 +285,7 @@ class TestCsv:
         cfg = parse_config(REFERENCE_CONFIG)
         blobs = []
         for name in ("a.csv", "b.csv"):
-            traj = run(cfg.params(), cfg.initial_state(), cfg.step_config())
+            traj = run(cfg.params, cfg.initial_state(), cfg.step)
             path = tmp_path / name
             write_trajectory_csv(path, traj)
             blobs.append(path.read_bytes())

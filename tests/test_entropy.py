@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from revreact.entropy import (
+    _species_gap,
     ck_gap,
     dissipation,
     entropy,
@@ -12,6 +13,7 @@ from revreact.entropy import (
     relative_entropy,
 )
 from revreact.grid import Grid1D, fisher_information, integrate
+from revreact.ineqlab import sample_admissible
 from revreact.model import Equilibrium, MassPair, ReactionParams, compute_equilibrium
 from revreact.solver import State
 
@@ -83,6 +85,21 @@ class TestRelativeEntropy:
         h = 1e-10
         val = relative_entropy(g, homogeneous(g, 1 + h, 1, 1), eq)
         assert val == pytest.approx(h * h / 2, rel=1e-4)
+
+    def test_gap_density_finite_where_ratio_rounds_to_zero(self):
+        # f/ref - 1 rounds to exactly -1 below ~1e-16*ref; the density there
+        # is ref - f + f ln(f/ref), which tends to ref
+        f = np.array([1e-306, 1e-17, 0.0])
+        want = [1.0, 1.0 - 1e-17 + 1e-17 * math.log(1e-17), 1.0]
+        np.testing.assert_allclose(_species_gap(f, 1.0), want, rtol=1e-15)
+        np.testing.assert_allclose(_species_gap(f * 4.0, 4.0), np.multiply(want, 4.0), rtol=1e-15)
+
+    def test_finite_on_sample_with_tiny_cells(self):
+        g = Grid1D(64)
+        p = ReactionParams(1, 1, 1)
+        m = MassPair(1e-300, 1)
+        s = sample_admissible(p, m, g, [0, 1]).state()
+        assert math.isfinite(relative_entropy(g, s, compute_equilibrium(p, m)))
 
     def test_split_into_average_parts(self, g, p, eq):
         # relative entropy = sum of per-species entropy vs the spatial

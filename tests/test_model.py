@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +30,20 @@ def test_params_validation():
         ReactionParams(1, 1, 1, d2=-1.0)
     with pytest.raises(ValueError):
         MassPair(0.0, 1.0)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: ReactionParams(0.5, 1, 1), "alpha must be >= 1, got 0.5"),
+    (lambda: ReactionParams(1, math.nan, 1), "beta must be finite and >= 1, got nan"),
+    (lambda: ReactionParams(1, 1, math.inf), "gamma must be finite and >= 1, got inf"),
+    (lambda: ReactionParams(ell=math.nan), "ell must be finite and > 0"),
+    (lambda: ReactionParams(d1=math.inf), "d1 must be finite and > 0"),
+    (lambda: MassPair(math.nan, 1.0), "m1 must be finite and > 0"),
+    (lambda: MassPair(1.0, math.inf), "m2 must be finite and > 0"),
+])
+def test_validation_names_field_and_rejects_non_finite(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def test_stoich_pow_matches_general_pow():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,14 @@ class TestStepConfig:
         with pytest.raises(ValueError):
             StepConfig(record_every=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("t_end", math.inf), ("t_end", math.nan), ("dt_init", math.nan),
+        ("dt_min", math.nan), ("safety", math.nan),
+    ])
+    def test_non_finite_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and"):
+            StepConfig(**{field: value})
+
 
 class TestStepImex:
     def test_equilibrium_is_fixed_point(self):
@@ -99,6 +109,13 @@ class TestStepImex:
         s = homogeneous_state(16, 0.1, 5.0, 0.0)
         assert step_imex(p, s, 1.0) is None
 
+    @pytest.mark.parametrize("species", ["u", "v", "w"])
+    def test_nan_cell_is_rejected_not_stepped(self, species):
+        # NaN compares false, so each positivity test must fail on it
+        fields = {name: np.full(8, 1.0) for name in "uvw"}
+        fields[species][3] = np.nan
+        assert step_imex(ReactionParams(1, 1, 1), State(0.0, **fields), 1e-3) is None
+
     def test_rejects_nonpositive_dt(self):
         p = ReactionParams(1, 1, 1)
         with pytest.raises(ValueError):
@@ -110,6 +127,13 @@ class TestRun:
         p = ReactionParams(1, 1, 1, ell=3.0)
         with pytest.raises(ValueError):
             run(p, homogeneous_state(8, 1, 1, 1), StepConfig(t_end=0.01))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_initial_state(self, bad):
+        s = homogeneous_state(8, 1, 1, 1)
+        s.v[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            run(ReactionParams(1, 1, 1), s, StepConfig(t_end=0.01))
 
     def test_equilibrium_stays_flat(self):
         p = ReactionParams(1, 1, 1, d1=1, d2=2, d3=3)
