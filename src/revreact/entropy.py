@@ -6,9 +6,9 @@ epsilon floors are used anywhere; a state with exactly one of u^a v^b, w^g
 zero in some cell has infinite reaction dissipation, and that infinity is
 reported as a value, not raised as an error.
 
-Every reduction here acts on the last axis: for a State of (n,) fields it
-returns Python floats, for a stacked State of (S, n) fields arrays of S
-values, one per state, equal to S one-state calls.
+Every reduction here acts on the last axis and adds species over axis -2
+of State.y: a (3, n) state gives Python floats, an (S, 3, n) stack arrays
+of S values, one per state, equal to S one-state calls.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import xlogy
 
-from .grid import Grid1D, fisher_information, integrate
+from .grid import Grid1D, fisher_information, integrate, unstack
 from .model import (
     Equilibrium,
     MassPair,
     ReactionParams,
     compute_equilibrium,
+    masses_of,
     stoich_pow,
     weighted_masses,
 )
@@ -59,8 +60,7 @@ def _entropy_density(f: np.ndarray) -> np.ndarray:
 
 def entropy(g: Grid1D, s: "State") -> float:
     """Boltzmann entropy integral(sum_x x(ln x - 1)) of a state."""
-    total = _entropy_density(s.u) + _entropy_density(s.v) + _entropy_density(s.w)
-    return integrate(g, total)
+    return integrate(g, _entropy_density(s.y).sum(axis=-2))
 
 
 def q_gap(x: float, x_ref: float) -> float:
@@ -72,7 +72,7 @@ def q_gap(x: float, x_ref: float) -> float:
     return x * math.log(x / x_ref) - (x - x_ref)
 
 
-def _species_gap(f: np.ndarray, ref: float) -> np.ndarray:
+def _species_gap(f: np.ndarray, ref) -> np.ndarray:
     """x ln(x/ref) - (x - ref) elementwise, continuous at x = 0.
 
     Evaluated as ref * ((1+h) log1p(h) - h) with h = x/ref - 1: the naive
@@ -87,20 +87,15 @@ def _species_gap(f: np.ndarray, ref: float) -> np.ndarray:
         gap = ref * ((1.0 + h) * np.log1p(h) - h)
         tiny = h == -1.0
         if tiny.any():
-            gap = np.where(tiny, ref - f + xlogy(f, f) - f * math.log(ref), gap)
+            gap = np.where(tiny, ref - f + xlogy(f, f) - f * np.log(ref), gap)
     return np.maximum(gap, 0.0)
 
 
 def relative_entropy(g: Grid1D, s: "State", e: Equilibrium) -> float:
     """Entropy gap of a state relative to the equilibrium; always >= 0."""
-    if min(e.a_inf, e.b_inf, e.c_inf) <= 0:
+    if not np.all(e.y > 0):
         raise ValueError("equilibrium with a zero component")
-    total = (
-        _species_gap(s.u, e.a_inf)
-        + _species_gap(s.v, e.b_inf)
-        + _species_gap(s.w, e.c_inf)
-    )
-    return integrate(g, total)
+    return integrate(g, _species_gap(s.y, e.y[:, None]).sum(axis=-2))
 
 
 def entropy_vs_average(g: Grid1D, f: np.ndarray) -> float:
@@ -134,12 +129,10 @@ def dissipation(
     """
     p.require_normalised("dissipation")
     if e is None:
-        if s.u.ndim != 1:
+        if s.y.ndim != 2:
             raise ValueError("a stacked state needs an explicit equilibrium")
         e = compute_equilibrium(p, MassPair(*weighted_masses(p, g, s)))
-    fu = fisher_information(g, s.u, p.d1)
-    fv = fisher_information(g, s.v, p.d2)
-    fw = fisher_information(g, s.w, p.d3)
+    fu, fv, fw = unstack(fisher_information(g, s.y, p.diffusivities))
     a = stoich_pow(s.u, p.alpha) * stoich_pow(s.v, p.beta)
     b = stoich_pow(s.w, p.gamma)
     r = reaction_dissipation_density(a, b)
@@ -157,11 +150,7 @@ def dissipation(
 
 def l1_distances(g: Grid1D, s: "State", e: Equilibrium) -> tuple[float, float, float]:
     """L1 distances of (u, v, w) to the equilibrium constants."""
-    return (
-        integrate(g, np.abs(s.u - e.a_inf)),
-        integrate(g, np.abs(s.v - e.b_inf)),
-        integrate(g, np.abs(s.w - e.c_inf)),
-    )
+    return unstack(integrate(g, np.abs(s.y - e.y[:, None])))
 
 
 def ck_gap(
@@ -174,8 +163,7 @@ def ck_gap(
     masses as the equilibrium, to rtol relative to the equilibrium's.
     """
     m1_s, m2_s = weighted_masses(p, g, s)
-    m1_e = p.gamma * e.a_inf + p.alpha * e.c_inf
-    m2_e = p.gamma * e.b_inf + p.beta * e.c_inf
+    m1_e, m2_e = masses_of(p, e.y).tolist()
     close = np.isclose(m1_s, m1_e, rtol, 0.0) & np.isclose(m2_s, m2_e, rtol, 0.0)
     if not np.all(close):
         i = np.argmin(close)  # first state off the manifold
@@ -184,5 +172,4 @@ def ck_gap(
             f"carry the equilibrium's masses ({m1_e}, {m2_e}); the first has "
             f"({np.ravel(m1_s)[i]}, {np.ravel(m2_s)[i]})"
         )
-    du, dv, dw = l1_distances(g, s, e)
-    return relative_entropy(g, s, e), du * du + dv * dv + dw * dw
+    return relative_entropy(g, s, e), sum(d * d for d in l1_distances(g, s, e))

@@ -44,6 +44,11 @@ def _reduced(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def unstack(x) -> tuple:
+    """The last axis as a tuple: Python floats for one field, arrays for a stack."""
+    return tuple(_reduced(c) for c in np.moveaxis(x, -1, 0))
+
+
 def integrate(g: Grid1D, f: np.ndarray):
     """Midpoint quadrature: dx * sum(f) over the last axis."""
     f = _check(g, f)

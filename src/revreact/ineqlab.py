@@ -34,6 +34,7 @@ from .model import (
     ReactionParams,
     compute_equilibrium,
     stoich_pow,
+    uv_totals,
 )
 from .solver import State, Trajectory
 
@@ -70,10 +71,6 @@ class RatioReport:
     n_uncovered: int = 0
 
 
-def _sqrt_equilibrium(e: Equilibrium) -> tuple[float, float, float]:
-    return np.sqrt(e.a_inf), np.sqrt(e.b_inf), np.sqrt(e.c_inf)
-
-
 def homogeneous_ratio(p: ReactionParams, e: Equilibrium, mu_c) -> np.ndarray:
     """Distance-to-defect ratio along the constrained perturbation family.
 
@@ -91,7 +88,7 @@ def homogeneous_ratio(p: ReactionParams, e: Equilibrium, mu_c) -> np.ndarray:
     whose supremum over the admissible mu_c range is the constant of the
     homogeneous distance bound.  mu_c = 0 is a removable 0/0.
     """
-    A, B, C = _sqrt_equilibrium(e)
+    A, B, C = np.sqrt(e.y)
     mu_c = np.asarray(mu_c, dtype=float)
     shrink = mu_c * (2.0 + mu_c)
     mu_a = np.sqrt(np.maximum(1.0 - (p.alpha * C * C) / (p.gamma * A * A) * shrink, 0.0)) - 1.0
@@ -106,7 +103,7 @@ def homogeneous_ratio(p: ReactionParams, e: Equilibrium, mu_c) -> np.ndarray:
 
 def mu_c_max(p: ReactionParams, e: Equilibrium) -> float:
     """Upper end of the admissible perturbation range (lower end is -1)."""
-    A, B, C = _sqrt_equilibrium(e)
+    A, B, C = np.sqrt(e.y)
     bound = min(
         (p.gamma * A * A) / (p.alpha * C * C),
         (p.gamma * B * B) / (p.beta * C * C),
@@ -189,22 +186,21 @@ def _admissible_stack(
         raise ValueError(f"floor_delta={delta} leaves no room for w below {bound}")
     n = g.n_cells
     frac = np.empty(len(seeds))
-    shapes = np.empty((len(seeds), 3, n))  # w, u, v
+    shapes = np.empty((len(seeds), 3, n))  # of u, v, w, drawn in the order w, u, v
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         frac[k] = rng.uniform(0.02, 0.95)
-        for j in range(3):
+        for j in (2, 0, 1):
             shapes[k, j] = _positive_shape(rng, n)
     means = shapes.mean(axis=-1)
 
     w_mass = delta + frac * (bound - delta)
-    w = delta + shapes[:, 0] * (w_mass - delta)[:, None] / means[:, :1]
-    w_mass = integrate(g, w)
-    uv_means = np.stack([m.m1 - p.alpha * w_mass, m.m2 - p.beta * w_mass], axis=-1) / p.gamma
+    w = delta + shapes[:, 2] * (w_mass - delta)[:, None] / means[:, 2:]
+    uv_means = uv_totals(p, np.array([m.m1, m.m2]), integrate(g, w)[:, None])
     if not np.all(uv_means > delta):
         raise ValueError("infeasible floor_delta for the drawn w mass")
-    uv = delta + shapes[:, 1:] * (uv_means - delta)[..., None] / means[:, 1:, None]
-    return State(0.0, uv[:, 0], uv[:, 1], w)
+    uv = delta + shapes[:, :2] * (uv_means - delta)[..., None] / means[:, :2, None]
+    return State(0.0, uv[:, 0], uv[:, 1], w)  # the one copy into State.y
 
 
 def sample_admissible(
@@ -221,7 +217,7 @@ def sample_admissible(
     dictate.  Both laws hold to rounding by construction.
     """
     s = _admissible_stack(p, m, g, [seed], floor_delta)
-    return AdmissibleSample(u=s.u[0], v=s.v[0], w=s.w[0], masses=m)
+    return AdmissibleSample(*s.y[0], masses=m)
 
 
 def _ratio_report(pairs: list[tuple[float, Any]], pick_constant) -> RatioReport:
@@ -264,7 +260,7 @@ def _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, pick_consta
         n_informative += kept.size
         if kept.size:
             for k in (int(kept[np.argmin(ratio[kept])]), int(kept[np.argmax(ratio[kept])])):
-                means = {f"mean_{c}": float(getattr(s, c)[k].mean()) for c in "uvw"}
+                means = dict(zip(("mean_u", "mean_v", "mean_w"), s.y[k].mean(axis=-1).tolist()))
                 pairs.append((float(ratio[k]), {"index": start + k, **means}))
     if n_bad:
         raise ValueError(f"{n_bad} of {n_samples} samples gave a non-finite ratio")
@@ -303,19 +299,15 @@ def estimate_k2_split(
     """
     if k1 <= 0:
         raise ValueError("k1 must be > 0")
-    e = compute_equilibrium(p, m)
-    A, B, C = _sqrt_equilibrium(e)
+    root_eq = np.sqrt(compute_equilibrium(p, m).y)[:, None]
 
     def evaluate(s: State):
-        U, V, W = np.sqrt(s.u), np.sqrt(s.v), np.sqrt(s.w)
-        lhs = integrate(g, (U - A) ** 2) + integrate(g, (V - B) ** 2) + integrate(g, (W - C) ** 2)
+        root = np.sqrt(s.y)  # U, V, W on the species axis
+        U, V, W = np.moveaxis(root, -2, 0)
+        lhs = integrate(g, (root - root_eq) ** 2).sum(axis=-1)
         defect = stoich_pow(W, p.gamma) - stoich_pow(U, p.alpha) * stoich_pow(V, p.beta)
         part1 = integrate(g, defect**2)
-        part2 = (
-            integrate(g, (U - integrate(g, U)[:, None]) ** 2)
-            + integrate(g, (V - integrate(g, V)[:, None]) ** 2)
-            + integrate(g, (W - integrate(g, W)[:, None]) ** 2)
-        )
+        part2 = integrate(g, (root - integrate(g, root)[..., None]) ** 2).sum(axis=-1)
         homogeneous = part2 == 0.0
         ratio = np.maximum(0.0, (lhs - k1 * part1) / part2)
         return ratio, ~homogeneous, homogeneous & ~(lhs <= k1 * part1)
@@ -404,11 +396,16 @@ def elementary_inequality_gap(a, b):
     Naive evaluation loses the sign to rounding near a = b (the two sides
     agree to fourth order there), so the gap is computed in the factored
     form 2(s-t) * t * [(r+1)ln(r) - 2(r-1)] with s = sqrt(a), t = sqrt(b),
-    r = s/t, and the bracket assembled from log1p(r-1) - (r-1), which
-    keeps every factor's sign exact.
+    r = s/t.  With h = r - 1 the bracket is h^3/6 - h^4/6 + 3h^5/20 - ...;
+    for |h| < 1e-2 its two O(h^2) parts would cancel, so the series is summed
+    there, which keeps every factor's sign exact.
     """
     s = np.sqrt(np.asarray(a, dtype=float))
     t = np.sqrt(np.asarray(b, dtype=float))
     h = s / t - 1.0
-    bracket = 2.0 * (np.log1p(h) - h) + h * np.log1p(h)
+    small = np.abs(h) < 1e-2
+    hs = np.where(small, h, 0.0)
+    coeffs = [(-1) ** j * (j + 1) / ((j + 2) * (j + 3)) for j in range(7, -1, -1)]
+    series = hs**3 * np.polyval(coeffs, hs)
+    bracket = np.where(small, series, 2.0 * (np.log1p(h) - h) + h * np.log1p(h))
     return 2.0 * (s - t) * t * bracket

@@ -3,7 +3,9 @@
 The model is the reversible mass-action reaction  a*U + b*V <-> c*W  with
 stoichiometric exponents (alpha, beta, gamma), forward/backward rates
 (ell, k) and one diffusivity per species, posed on the normalised interval
-[0,1] with no-flux boundaries.  Two weighted masses are conserved:
+[0,1] with no-flux boundaries: dc/dt - D*Laplace(c) = nu*R(c) for
+c = (u, v, w) and nu = (-alpha, -beta, gamma).  The two weights orthogonal
+to nu give the conserved masses
 
     M1 = integral(gamma*u + alpha*w),    M2 = integral(gamma*v + beta*w).
 
@@ -18,7 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .grid import Grid1D, integrate
+import numpy as np
+
+from .grid import Grid1D, integrate, unstack
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import State
@@ -74,6 +78,16 @@ class ReactionParams:
             require(name, value, value > 0, "> 0")
 
     @property
+    def nu(self) -> np.ndarray:
+        """The stoichiometric vector (-alpha, -beta, gamma) over (u, v, w)."""
+        return np.array([-self.alpha, -self.beta, self.gamma], dtype=float)
+
+    @property
+    def diffusivities(self) -> np.ndarray:
+        """(d1, d2, d3), one diffusivity per species."""
+        return np.array([self.d1, self.d2, self.d3], dtype=float)
+
+    @property
     def is_normalised(self) -> bool:
         """True when the rate constants are already 1."""
         return self.ell == 1.0 and self.k == 1.0
@@ -112,12 +126,20 @@ class MassPair:
         require("m2", self.m2, self.m2 > 0, "> 0")
 
 
+def masses_of(p: ReactionParams, totals) -> np.ndarray:
+    """(M1, M2) = gamma*(U, V) + (alpha, beta)*W on the last axis of totals (U, V, W)."""
+    totals = np.asarray(totals, dtype=float)
+    return p.gamma * totals[..., :2] - p.nu[:2] * totals[..., 2:]
+
+
+def uv_totals(p: ReactionParams, masses, w_total) -> np.ndarray:
+    """The (U, V) = (M - (alpha, beta)*W) / gamma beside a w total W; inverts masses_of."""
+    return (masses + p.nu[:2] * w_total) / p.gamma
+
+
 def weighted_masses(p: ReactionParams, g: Grid1D, s: "State"):
     """The conserved integrals (M1, M2) of a state, or arrays of them for a stack."""
-    return (
-        p.gamma * integrate(g, s.u) + p.alpha * integrate(g, s.w),
-        p.gamma * integrate(g, s.v) + p.beta * integrate(g, s.w),
-    )
+    return unstack(masses_of(p, integrate(g, s.y)))
 
 
 @dataclass(frozen=True)
@@ -128,6 +150,11 @@ class Equilibrium:
     b_inf: float
     c_inf: float
     residual: float
+
+    @property
+    def y(self) -> np.ndarray:
+        """(a_inf, b_inf, c_inf) over the species axis, like State.y."""
+        return np.array([self.a_inf, self.b_inf, self.c_inf])
 
 
 @dataclass(frozen=True)
@@ -281,6 +308,5 @@ def check_equilibrium_conservation(
     e: Equilibrium, p: ReactionParams, m: MassPair, rtol: float = 1e-12
 ) -> bool:
     """Both conservation identities hold to the given relative tolerance."""
-    ok1 = math.isclose(p.gamma * e.a_inf + p.alpha * e.c_inf, m.m1, rel_tol=rtol)
-    ok2 = math.isclose(p.gamma * e.b_inf + p.beta * e.c_inf, m.m2, rel_tol=rtol)
-    return ok1 and ok2
+    held = masses_of(p, e.y)
+    return all(math.isclose(a, b, rel_tol=rtol) for a, b in zip(held, (m.m1, m.m2)))

@@ -1,14 +1,15 @@
 """IMEX time integration: explicit reaction, implicit (backward-Euler) diffusion.
 
-Each step applies the pointwise reaction update
+A state holds the species (u, v, w) as the rows of one array y.  Each step
+applies the pointwise reaction update
 
-    u* = u - dt*alpha*R,   v* = v - dt*beta*R,   w* = w + dt*gamma*R,
+    y* = y + dt * nu * R,   nu = (-alpha, -beta, gamma),
 
 with R the (normalised) mass-action rate, then solves one backward-Euler
-tridiagonal system per species for the diffusion.  The same R appears in
-all three updates, so the weighted masses gamma*int(u)+alpha*int(w) and
-gamma*int(v)+beta*int(w) are conserved to rounding, and the no-flux
-implicit diffusion conserves every cell sum exactly.
+tridiagonal system per species for the diffusion.  Both mass weights are
+orthogonal to nu, so gamma*int(u)+alpha*int(w) and gamma*int(v)+beta*int(w)
+are conserved to rounding, and the no-flux implicit diffusion conserves
+every cell sum exactly.
 
 Positivity is enforced by step rejection followed by dt halving, never by
 clipping: a step that produces a negative cell, or changes any cell by
@@ -30,8 +31,10 @@ from .model import (
     MassPair,
     ReactionParams,
     compute_equilibrium,
+    masses_of,
     require,
     stoich_pow,
+    uv_totals,
     weighted_masses,
 )
 
@@ -45,25 +48,35 @@ class StepUnderflowError(RuntimeError):
     """Adaptive dt fell below dt_min; the state resists the explicit reaction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class State:
-    """Concentrations at one instant (or S stacked as (S, n) fields); arrays share one grid."""
+    """Concentrations at one instant, or S instants stacked.
+
+    y holds u, v and w as its rows: shape (3, n) for fields of shape (n,),
+    (S, 3, n) for (S, n) fields.  u, v and w are views of those rows.
+    """
 
     t: float
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
+    y: np.ndarray
 
-    def __post_init__(self):
-        if not (self.u.shape == self.v.shape == self.w.shape):
+    def __init__(self, t: float, u, v, w):
+        if not (u.shape == v.shape == w.shape):
             raise ValueError("u, v, w must share one grid")
+        object.__setattr__(self, "t", t)
+        # what np.stack(axis=-2) does, at half its call overhead (once per step)
+        rows = [f[..., None, :] for f in (u, v, w)]
+        object.__setattr__(self, "y", np.concatenate(rows, axis=-2))
+
+    u = property(lambda self: self.y[..., 0, :])
+    v = property(lambda self: self.y[..., 1, :])
+    w = property(lambda self: self.y[..., 2, :])
 
     @property
     def grid(self) -> Grid1D:
-        return Grid1D(self.u.shape[-1])
+        return Grid1D(self.y.shape[-1])
 
     def min_concentration(self) -> float:
-        return float(min(self.u.min(), self.v.min(), self.w.min()))
+        return float(self.y.min())
 
 
 @dataclass(frozen=True)
@@ -190,10 +203,9 @@ class _DiffusionSolver:
         return out
 
 
-def _weighted_sums(p: ReactionParams, s: State) -> tuple[float, float]:
+def _weighted_sums(p: ReactionParams, s: State) -> np.ndarray:
     """Exact cell sums of gamma*u + alpha*w and gamma*v + beta*w."""
-    su, sv, sw = math.fsum(s.u), math.fsum(s.v), math.fsum(s.w)
-    return p.gamma * su + p.alpha * sw, p.gamma * sv + p.beta * sw
+    return masses_of(p, [math.fsum(f) for f in s.y.tolist()])
 
 
 def step_imex(
@@ -221,42 +233,31 @@ def _attempt_step(
     dt: float,
     diffusion: _DiffusionSolver,
     safety: float,
-    anchors: tuple[float, float],
+    anchors: np.ndarray,
 ) -> State | None:
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    r = reaction_rate(p, s.u, s.v, s.w)
-    u1 = s.u - dt * p.alpha * r
-    v1 = s.v - dt * p.beta * r
-    w1 = s.w + dt * p.gamma * r
+    r = reaction_rate(p, *s.y)
+    y1 = s.y + dt * p.nu[:, None] * r
     # The reaction contributions to the weighted sums cancel algebraically,
-    # but the three per-cell updates round independently; re-anchor u and v
-    # to the conserved sums so rounding cannot random-walk over a long run.
-    c1, c2 = anchors
-    sw = math.fsum(w1)
-    du = (c1 - p.alpha * sw) / p.gamma - math.fsum(u1)
-    dv = (c2 - p.beta * sw) / p.gamma - math.fsum(v1)
-    u1[np.argmax(u1)] += du
-    v1[np.argmax(v1)] += dv
+    # but the per-cell updates round independently; re-anchor u and v to
+    # the conserved sums so rounding cannot random-walk over a long run.
+    sums = [math.fsum(f) for f in y1.tolist()]  # lists sum faster than arrays
+    for f, gap in zip(y1[:2], uv_totals(p, anchors, sums[2]) - sums[:2]):
+        f[np.argmax(f)] += gap
     # every test below is written to fail on NaN, which compares false
-    if not (u1.min() >= 0.0 and v1.min() >= 0.0 and w1.min() >= 0.0):
+    if not (y1.min() >= 0.0):
         return None
 
-    scale = max(s.u.max(), s.v.max(), s.w.max())
-    u2 = diffusion.solve(u1, p.d1, dt)
-    v2 = diffusion.solve(v1, p.d2, dt)
-    w2 = diffusion.solve(w1, p.d3, dt)
-    if not (u2.min() >= 0.0 and v2.min() >= 0.0 and w2.min() >= 0.0):
+    y2 = np.array([diffusion.solve(f, d, dt) for f, d in zip(y1, p.diffusivities)])
+    if not (y2.min() >= 0.0):
         return None
+    scale = s.y.max()
     if scale > 0.0:
         floor = _REL_CHANGE_FLOOR * scale
-        if not (
-            np.max(np.abs(u2 - s.u) / (s.u + floor)) <= safety
-            and np.max(np.abs(v2 - s.v) / (s.v + floor)) <= safety
-            and np.max(np.abs(w2 - s.w) / (s.w + floor)) <= safety
-        ):
+        if not (np.max(np.abs(y2 - s.y) / (s.y + floor)) <= safety):
             return None
-    return State(s.t + dt, u2, v2, w2)
+    return State(s.t + dt, *y2)
 
 
 def _diagnostics(
@@ -266,24 +267,11 @@ def _diagnostics(
     e: Equilibrium,
     dt: float,
 ) -> DiagnosticsRow:
-    rep = dissipation(g, p, s, e)
-    du, dv, dw = l1_distances(g, s, e)
     mass1, mass2 = weighted_masses(p, g, s)
     return DiagnosticsRow(
-        t=s.t,
-        dt=dt,
-        mass1=mass1,
-        mass2=mass2,
-        E=rep.E,
-        E_rel=rep.E_rel,
-        D=rep.D,
-        fisher_u=rep.fisher_u,
-        fisher_v=rep.fisher_v,
-        fisher_w=rep.fisher_w,
-        reaction_term=rep.reaction_term,
-        l1_u=du,
-        l1_v=dv,
-        l1_w=dw,
+        t=s.t, dt=dt, mass1=mass1, mass2=mass2,
+        **vars(dissipation(g, p, s, e)),  # every EntropyReport field is a column
+        **dict(zip(("l1_u", "l1_v", "l1_w"), l1_distances(g, s, e))),
         min_conc=s.min_concentration(),
     )
 
@@ -297,7 +285,7 @@ def run(p: ReactionParams, s0: State, cfg: StepConfig) -> Trajectory:
     StepUnderflowError when halving reaches dt_min.
     """
     p.require_normalised("run")
-    if not all(np.isfinite(f).all() for f in (s0.u, s0.v, s0.w)):
+    if not np.isfinite(s0.y).all():
         raise ValueError("initial state has non-finite cells")
     if s0.min_concentration() < 0:
         raise ValueError("initial state has negative cells")
@@ -328,7 +316,7 @@ def run(p: ReactionParams, s0: State, cfg: StepConfig) -> Trajectory:
                 raise StepUnderflowError(
                     f"dt underflow at t={s.t:.6g}: dt={dt:.3e} < dt_min, "
                     f"min conc={s.min_concentration():.3e}, "
-                    f"max conc={max(s.u.max(), s.v.max(), s.w.max()):.3e}"
+                    f"max conc={s.y.max():.3e}"
                 )
             continue
         s = nxt
@@ -354,9 +342,5 @@ def z_linf(p: ReactionParams, s: State) -> float:
     With equal diffusivities this combination obeys a pure heat equation,
     so its sup never grows (parabolic maximum principle).
     """
-    z = (
-        p.beta * p.gamma * s.u
-        + p.alpha * p.gamma * s.v
-        + 2.0 * p.alpha * p.beta * s.w
-    )
-    return float(z.max())
+    weights = np.array([p.beta * p.gamma, p.alpha * p.gamma, 2.0 * p.alpha * p.beta])
+    return float((weights[:, None] * s.y).sum(axis=-2).max())

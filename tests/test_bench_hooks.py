@@ -1,18 +1,43 @@
-"""The benchmark's per-layer hooks must find every name they patch.
+"""The benchmark's pins and per-layer hooks hold for the package.
 
 ``perfbench/hooks.py`` replaces names in the package's submodules, but only
 in submodules already in ``sys.modules``; the ``vacuum-fine`` and
 ``ineq-lab`` workloads import nothing but ``revreact``.  A name that is not
-reachable after ``import revreact`` leaves its traced metric null.
+reachable after ``import revreact`` leaves its traced metric null, and a
+hooked name the package uses as more than a callable (``State`` in
+``revreact.solver`` becomes a plain function) breaks every traced run.
+
+The perfbench modules are loaded by path, so their pins have one copy.
 """
 
+import hashlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
+from time import perf_counter_ns
+
+import numpy as np
+
+from revreact.cli import main
+from revreact.grid import Grid1D
+from revreact.model import MassPair, ReactionParams
+from revreact.solver import State, StepConfig
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 PROBE = """
 import importlib.util, json, sys
@@ -42,3 +67,35 @@ def test_every_hooked_name_resolves_after_import_revreact():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["hooks"] > 0
     assert result["missing"] == []
+
+
+def test_reference_simulate_csv_matches_the_benchmark_digest(tmp_path):
+    workloads = _perfbench("workloads")
+    conf = tmp_path / "ref.conf"
+    conf.write_text(workloads.SimulateRef.config)
+    out = tmp_path / "ref.csv"
+    with redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == workloads.REF_CSV_SHA256
+
+
+def test_traced_run_and_estimate_match_untraced_and_report_strict_json():
+    hooks = _perfbench("hooks")
+    solver, ineqlab = sys.modules["revreact.solver"], sys.modules["revreact.ineqlab"]
+    p = ReactionParams(2, 1, 3, d1=1.0, d2=0.1, d3=0.01)
+    x = Grid1D(50).cell_centers()
+    s0 = State(0.0, np.where(x < 0.5, 2.0, 0.0), np.where(x >= 0.5, 2.0, 0.0), np.zeros(50))
+    cfg = StepConfig(dt_init=1e-3, t_end=0.05, record_every=5)
+    untraced = solver.run(p, s0, cfg)
+
+    tracer = hooks.Tracer()
+    t0 = perf_counter_ns()
+    with tracer.hooked():
+        traced = solver.run(p, s0, cfg)
+        ineqlab.estimate_eed_constant(p, MassPair(2.0, 1.0), Grid1D(16), 40, seed=3)
+    wall_ns = perf_counter_ns() - t0
+
+    assert traced.rows == untraced.rows
+    counts = tracer.counts()
+    assert 0 < counts["solver.accepted"] <= counts["solver.attempts"]
+    json.dumps({**counts, **tracer.times(wall_ns)}, allow_nan=False)

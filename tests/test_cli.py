@@ -303,6 +303,23 @@ class TestCsv:
         path.write_text("\n".join(text) + "\n")
         assert any("mass1" in msg for msg in validate_rows(read_csv_rows(path)))
 
+    def test_validate_fails_on_a_nan_row(self, tmp_path, small_traj, capsys):
+        # NaN compares false, so every invariant must be written to fail on it
+        path = tmp_path / "run.csv"
+        write_trajectory_csv(path, small_traj)
+        text = path.read_text().splitlines()
+        parts = text[3].split(",")
+        for col in ("mass1", "E"):
+            parts[CSV_COLUMNS.index(col)] = "nan"
+        text[3] = ",".join(parts)
+        path.write_text("\n".join(text) + "\n")
+        assert main(["validate", "--csv", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "PASS" not in out
+        assert "row 2: mass1 drifted to nan" in out
+        assert "row 2: entropy increased to nan" in out
+        assert "row 3" not in out  # compared with row 1, not with the NaN
+
     def test_header_enforced(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n1,2\n")

@@ -289,6 +289,18 @@ class TestElementaryInequality:
     def test_tie_is_exact_zero(self):
         assert elementary_inequality_gap(np.array([2.0]), np.array([2.0]))[0] == 0.0
 
+    def test_near_ties_keep_their_sign_and_leading_order(self):
+        # the bracket's two O(h^2) parts used to cancel to a negative gap here
+        assert elementary_inequality_gap(np.array([1e6]), np.array([999999.96875]))[0] >= 0.0
+        a = np.logspace(-6, 6, 50)[:, None]
+        b = a * (1.0 + np.array([-1e-3, -1e-7, -1e-12, 1e-12, 1e-7, 1e-3]))
+        gaps = elementary_inequality_gap(a, b)
+        assert np.all(gaps >= 0.0)
+        s, t = np.sqrt(a), np.sqrt(b)
+        h = s / t - 1.0
+        lead = 2.0 * (s - t) * t * h**3 * (1.0 / 6.0 - h / 6.0)
+        np.testing.assert_allclose(gaps, lead, rtol=1e-5)
+
     @given(a=st.floats(1e-6, 1e6), b=st.floats(1e-6, 1e6))
     @settings(max_examples=200, deadline=None)
     def test_pointwise_property(self, a, b):

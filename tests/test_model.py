@@ -12,10 +12,12 @@ from revreact.model import (
     check_equilibrium_conservation,
     compute_equilibrium,
     equilibrium_residual,
+    masses_of,
     rescale_params,
     residual_scale,
     stoich_pow,
     undo_rescale,
+    uv_totals,
 )
 
 SQRT3 = 1.7320508075688773  # from a 40-digit bisection of a^2 = 3
@@ -44,6 +46,21 @@ def test_params_validation():
 def test_validation_names_field_and_rejects_non_finite(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
+
+
+def test_stoichiometric_vector_is_orthogonal_to_both_mass_weights():
+    p = ReactionParams(2, 1, 3)
+    np.testing.assert_array_equal(p.nu, (-2, -1, 3))
+    np.testing.assert_array_equal(masses_of(p, p.nu), (0, 0))
+
+
+def test_uv_totals_inverts_masses_of():
+    p = ReactionParams(2, 1, 3)
+    totals = np.array([[1.5, 0.25, 2.0], [3.0, 1.0, 0.5]])
+    np.testing.assert_array_equal(masses_of(p, totals), [[8.5, 2.75], [10.0, 3.5]])
+    np.testing.assert_array_equal(
+        uv_totals(p, masses_of(p, totals), totals[:, 2:]), totals[:, :2]
+    )
 
 
 def test_stoich_pow_matches_general_pow():

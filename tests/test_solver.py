@@ -36,6 +36,32 @@ def rk4_homogeneous(y0, t_end, dt, alpha=1.0, beta=1.0, gamma=1.0):
     return y
 
 
+class TestStateLayout:
+    def test_species_are_the_rows_of_one_array(self):
+        u, v, w = np.arange(5.0), np.ones(5), np.zeros(5)
+        s = State(0.5, u, v, w)
+        assert s.y.shape == (3, 5)
+        np.testing.assert_array_equal(s.y, [u, v, w])
+        assert s.grid == Grid1D(5)
+
+    def test_stack_of_fields_is_s_by_3_by_n(self):
+        fields = np.random.default_rng(1).uniform(0, 1, (3, 4, 6))
+        s = State(0.0, *fields)
+        assert s.y.shape == (4, 3, 6)
+        np.testing.assert_array_equal(s.v, fields[1])
+
+    def test_fields_are_views_of_y(self):
+        s = homogeneous_state(4, 1, 2, 3)
+        for name in "uvw":
+            assert np.shares_memory(getattr(s, name), s.y)
+        s.w[1] = 7.0
+        assert s.y[2, 1] == 7.0
+
+    def test_mismatched_shapes_raise(self):
+        with pytest.raises(ValueError, match="u, v, w must share one grid"):
+            State(0.0, np.ones(4), np.ones(4), np.ones(5))
+
+
 class TestReactionRate:
     def test_equilibrium_point(self):
         assert reaction_rate(ReactionParams(1, 1, 1), 1.0, 1.0, 1.0) == 0.0
