@@ -23,12 +23,12 @@ from .solver import (
     StepUnderflowError,
     reaction_rate,
     step_imex,
+    steps,
     run,
     z_linf,
 )
-from .entropy import EntropyReport, entropy, relative_entropy, dissipation, ck_gap
+from .entropy import EntropyReport, relative_entropy, dissipation, ck_gap
 from .ineqlab import (
-    AdmissibleSample,
     RatioReport,
     homogeneous_ratio,
     scan_homogeneous_ratio,
@@ -59,14 +59,13 @@ __all__ = [
     "StepUnderflowError",
     "reaction_rate",
     "step_imex",
+    "steps",
     "run",
     "z_linf",
     "EntropyReport",
-    "entropy",
     "relative_entropy",
     "dissipation",
     "ck_gap",
-    "AdmissibleSample",
     "RatioReport",
     "homogeneous_ratio",
     "scan_homogeneous_ratio",

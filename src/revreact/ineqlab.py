@@ -44,19 +44,6 @@ CHUNK = 128
 
 
 @dataclass(frozen=True)
-class AdmissibleSample:
-    """Strictly positive fields satisfying both conservation laws."""
-
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    masses: MassPair
-
-    def state(self) -> State:
-        return State(0.0, self.u, self.v, self.w)
-
-
-@dataclass(frozen=True)
 class RatioReport:
     """Extremal observed ratios of one inequality over a sample set."""
 
@@ -209,15 +196,14 @@ def sample_admissible(
     g: Grid1D,
     seed,
     floor_delta: float | None = None,
-) -> AdmissibleSample:
-    """Draw one random strictly positive field triple with the given masses.
+) -> State:
+    """Draw one random strictly positive state at t = 0 with the given masses.
 
     w is a floored random shape scaled to a feasible mass, then u and v are
     floored random shapes rescaled to the means the conservation laws
     dictate.  Both laws hold to rounding by construction.
     """
-    s = _admissible_stack(p, m, g, [seed], floor_delta)
-    return AdmissibleSample(*s.y[0], masses=m)
+    return State(0.0, *_admissible_stack(p, m, g, [seed], floor_delta).y[0])
 
 
 def _ratio_report(pairs: list[tuple[float, Any]], pick_constant) -> RatioReport:

@@ -19,6 +19,7 @@ more than the configured safety fraction, is discarded.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
@@ -123,13 +124,13 @@ CSV_COLUMNS = tuple(f.name for f in dataclass_fields(DiagnosticsRow))
 
 @dataclass
 class Trajectory:
-    """Recorded snapshots and diagnostics of one run."""
+    """Recorded diagnostics and the final state of one run."""
 
     params: ReactionParams
     masses: MassPair
     equilibrium: Equilibrium
-    states: list[State]
     rows: list[DiagnosticsRow]
+    final: State
 
     def times(self) -> np.ndarray:
         return np.array([r.t for r in self.rows])
@@ -276,13 +277,12 @@ def _diagnostics(
     )
 
 
-def run(p: ReactionParams, s0: State, cfg: StepConfig) -> Trajectory:
-    """Integrate to cfg.t_end with adaptive dt, recording diagnostics.
+def steps(p: ReactionParams, s0: State, cfg: StepConfig) -> Iterator[tuple[State, float]]:
+    """Each accepted (state, dt) of the adaptive run from s0 to cfg.t_end.
 
     dt halves on every rejection and doubles (never above dt_init) after
-    ten consecutive accepted steps.  Diagnostics are recorded at t = 0,
-    every record_every-th accepted step, and at the final time.  Raises
-    StepUnderflowError when halving reaches dt_min.
+    ten consecutive accepted steps.  The start is checked here, before the
+    first step; StepUnderflowError is raised when halving reaches dt_min.
     """
     p.require_normalised("run")
     if not np.isfinite(s0.y).all():
@@ -291,21 +291,14 @@ def run(p: ReactionParams, s0: State, cfg: StepConfig) -> Trajectory:
         raise ValueError("initial state has negative cells")
     if s0.t != 0.0:
         raise ValueError("runs start at t = 0")
-    g = s0.grid
-    m = MassPair(*weighted_masses(p, g, s0))
-    eq = compute_equilibrium(p, m)
-    diffusion = _DiffusionSolver(g)
-    anchors = _weighted_sums(p, s0)
+    return _accepted_steps(p, s0, cfg)
 
-    states = [s0]
-    rows = [_diagnostics(g, p, s0, eq, 0.0)]
-    s = s0
+
+def _accepted_steps(p: ReactionParams, s: State, cfg: StepConfig):
+    diffusion = _DiffusionSolver(s.grid)
+    anchors = _weighted_sums(p, s)
     dt = cfg.dt_init
-    last_dt = 0.0
-    accepted = 0
     accepted_since_double = 0
-    recorded_last = True
-
     while s.t < cfg.t_end - 1e-14 * cfg.t_end:
         dt_try = min(dt, cfg.t_end - s.t)
         nxt = _attempt_step(p, s, dt_try, diffusion, cfg.safety, anchors)
@@ -320,20 +313,32 @@ def run(p: ReactionParams, s0: State, cfg: StepConfig) -> Trajectory:
                 )
             continue
         s = nxt
-        last_dt = dt_try
-        accepted += 1
         accepted_since_double += 1
         if accepted_since_double >= 10:
             dt = min(2.0 * dt, cfg.dt_init)
             accepted_since_double = 0
+        yield s, dt_try
+
+
+def run(p: ReactionParams, s0: State, cfg: StepConfig) -> Trajectory:
+    """Integrate to cfg.t_end by steps(), recording diagnostics.
+
+    Diagnostics are recorded at t = 0, every record_every-th accepted step,
+    and at the final time; the final state is kept, no other.
+    """
+    accepted_steps = steps(p, s0, cfg)  # checks the start before anything else
+    g = s0.grid
+    m = MassPair(*weighted_masses(p, g, s0))
+    eq = compute_equilibrium(p, m)
+    rows = [_diagnostics(g, p, s0, eq, 0.0)]
+    s, dt, recorded_last = s0, 0.0, True
+    for accepted, (s, dt) in enumerate(accepted_steps, start=1):
         recorded_last = accepted % cfg.record_every == 0
         if recorded_last:
-            states.append(s)
-            rows.append(_diagnostics(g, p, s, eq, dt_try))
+            rows.append(_diagnostics(g, p, s, eq, dt))
     if not recorded_last:
-        states.append(s)
-        rows.append(_diagnostics(g, p, s, eq, last_dt))
-    return Trajectory(params=p, masses=m, equilibrium=eq, states=states, rows=rows)
+        rows.append(_diagnostics(g, p, s, eq, dt))
+    return Trajectory(params=p, masses=m, equilibrium=eq, rows=rows, final=s)
 
 
 def z_linf(p: ReactionParams, s: State) -> float:

@@ -96,6 +96,8 @@ def test_traced_run_and_estimate_match_untraced_and_report_strict_json():
     wall_ns = perf_counter_ns() - t0
 
     assert traced.rows == untraced.rows
+    np.testing.assert_array_equal(traced.final.y, untraced.final.y)
     counts = tracer.counts()
     assert 0 < counts["solver.accepted"] <= counts["solver.attempts"]
+    assert counts["solver.kept_state_bytes"] == 0
     json.dumps({**counts, **tracer.times(wall_ns)}, allow_nan=False)

@@ -1,0 +1,28 @@
+"""Demos 01-03 run against the package's public API and exit 0.
+
+Demo 04 takes about 20 s and is run by hand.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", [
+    "01_equilibrium_and_rescaling.py",
+    "02_relaxation_run.py",
+    "03_functional_inequalities.py",
+])
+def test_demo_exits_zero(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import revreact
 from revreact.entropy import (
     _species_gap,
     ck_gap,
@@ -98,7 +99,7 @@ class TestRelativeEntropy:
         g = Grid1D(64)
         p = ReactionParams(1, 1, 1)
         m = MassPair(1e-300, 1)
-        s = sample_admissible(p, m, g, [0, 1]).state()
+        s = sample_admissible(p, m, g, [0, 1])
         assert math.isfinite(relative_entropy(g, s, compute_equilibrium(p, m)))
 
     def test_split_into_average_parts(self, g, p, eq):
@@ -222,3 +223,7 @@ class TestCkGap:
         lhs, rhs = ck_gap(g, p, homogeneous(g, 1.1, 1.1, 0.9), eq)
         assert rhs == pytest.approx(0.03, rel=1e-12)
         assert lhs / rhs == pytest.approx(0.49526438258236737, rel=1e-12)
+
+
+def test_package_attribute_is_the_entropy_module():
+    assert revreact.entropy.dissipation is revreact.dissipation

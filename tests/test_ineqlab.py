@@ -8,6 +8,7 @@ from revreact.entropy import ck_gap, dissipation
 from revreact.grid import Grid1D, integrate
 from revreact.ineqlab import (
     CHUNK,
+    _admissible_stack,
     default_floor,
     duality_margin,
     elementary_inequality_gap,
@@ -100,6 +101,13 @@ class TestSampler:
     def test_infeasible_floor(self):
         with pytest.raises(ValueError):
             sample_admissible(P111, M22, Grid1D(16), seed=0, floor_delta=1.5)
+
+    def test_sample_is_a_state_at_t_zero_equal_to_its_stack_row(self):
+        p, m, g = ReactionParams(1, 2, 3), MassPair(4, 3), Grid1D(24)
+        s = sample_admissible(p, m, g, [7, 3])
+        assert type(s) is State
+        assert s.t == 0.0
+        np.testing.assert_array_equal(s.y, _admissible_stack(p, m, g, [[7, 3]], None).y[0])
 
 
 class TestK2Split:
@@ -221,11 +229,11 @@ class TestChunkBoundary:
         e = compute_equilibrium(p, m)
 
         def eed(s):
-            rep = dissipation(g, p, s.state(), e)
+            rep = dissipation(g, p, s, e)
             return "skipped" if rep.E_rel < 1e-12 else rep.D / rep.E_rel
 
         def ck(s):
-            lhs, rhs = ck_gap(g, p, s.state(), e)
+            lhs, rhs = ck_gap(g, p, s, e)
             return "skipped" if lhs < 1e-12 or rhs == 0.0 else lhs / rhs
 
         self._assert_matches(

@@ -12,6 +12,7 @@ from revreact.solver import (
     reaction_rate,
     run,
     step_imex,
+    steps,
     z_linf,
 )
 
@@ -149,17 +150,45 @@ class TestStepImex:
 
 
 class TestRun:
+    # run() and steps() check the start when called; steps() before any next()
     def test_requires_normalised_rates(self):
         p = ReactionParams(1, 1, 1, ell=3.0)
-        with pytest.raises(ValueError):
-            run(p, homogeneous_state(8, 1, 1, 1), StepConfig(t_end=0.01))
+        for start in (run, steps):
+            with pytest.raises(ValueError, match="run expects normalised rates"):
+                start(p, homogeneous_state(8, 1, 1, 1), StepConfig(t_end=0.01))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_initial_state(self, bad):
         s = homogeneous_state(8, 1, 1, 1)
         s.v[2] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            run(ReactionParams(1, 1, 1), s, StepConfig(t_end=0.01))
+        for start in (run, steps):
+            with pytest.raises(ValueError, match="initial state has non-finite cells"):
+                start(ReactionParams(1, 1, 1), s, StepConfig(t_end=0.01))
+
+    def test_rejects_negative_initial_state(self):
+        s = homogeneous_state(8, 1, 1, 1)
+        s.w[5] = -1e-3
+        for start in (run, steps):
+            with pytest.raises(ValueError, match="initial state has negative cells"):
+                start(ReactionParams(1, 1, 1), s, StepConfig(t_end=0.01))
+
+    def test_rejects_start_after_t_zero(self):
+        s = State(0.5, *homogeneous_state(8, 1, 1, 1).y)
+        for start in (run, steps):
+            with pytest.raises(ValueError, match="runs start at t = 0"):
+                start(ReactionParams(1, 1, 1), s, StepConfig(t_end=0.01))
+
+    def test_final_is_the_last_accepted_state(self):
+        p = ReactionParams(2, 1, 3, d1=1.0, d2=0.1, d3=0.01)
+        x = Grid1D(40).cell_centers()
+        s0 = State(0.0, np.where(x < 0.5, 2.0, 0.0), np.where(x >= 0.5, 2.0, 0.0), np.zeros(40))
+        cfg = StepConfig(dt_init=1e-3, t_end=0.05, record_every=7)
+        *_, (last, dt) = steps(p, s0, cfg)
+        traj = run(p, s0, cfg)
+        np.testing.assert_array_equal(traj.final.y, last.y)
+        assert traj.final.t == last.t == traj.rows[-1].t
+        assert traj.rows[-1].dt == dt
+        assert not hasattr(traj, "states")
 
     def test_equilibrium_stays_flat(self):
         p = ReactionParams(1, 1, 1, d1=1, d2=2, d3=3)
@@ -195,7 +224,7 @@ class TestRun:
         cfg = StepConfig(dt_init=1e-5, dt_min=1e-8, safety=1.0, t_end=0.1, record_every=10**6)
         traj = run(p, homogeneous_state(4, 2, 2, 0), cfg)
         ref = rk4_homogeneous([2.0, 2.0, 0.0], 0.1, 1e-6)
-        final = traj.states[-1]
+        final = traj.final
         err = max(
             np.abs(final.u - ref[0]).max(),
             np.abs(final.v - ref[1]).max(),
@@ -274,6 +303,6 @@ class TestZLinf:
         x = g.cell_centers()
         p = ReactionParams(1, 1, 1, d1=1, d2=1, d3=1)
         s0 = State(0.0, 2.0 * (1 - np.cos(2 * np.pi * x)), np.full_like(x, 2.0), np.zeros_like(x))
-        traj = run(p, s0, StepConfig(dt_init=2e-3, t_end=2.0, record_every=5))
-        z0 = z_linf(p, traj.states[0])
-        assert max(z_linf(p, s) for s in traj.states) <= z0 * (1 + 1e-10)
+        cfg = StepConfig(dt_init=2e-3, t_end=2.0, record_every=5)
+        z0 = z_linf(p, s0)
+        assert max(z_linf(p, s) for s, _ in steps(p, s0, cfg)) <= z0 * (1 + 1e-10)
