@@ -134,10 +134,16 @@ class RunConfig:
 
     def initial_state(self) -> State:
         x = self.grid.cell_centers()
-        return State(0.0, *(
-            PROFILES[getattr(self, f"{c}_profile")](getattr(self, f"{c}_amplitude"), x)
-            for c in "uvw"
-        ))
+        with np.errstate(over="ignore"):
+            s = State(0.0, *(
+                PROFILES[getattr(self, f"{c}_profile")](getattr(self, f"{c}_amplitude"), x)
+                for c in "uvw"
+            ))
+            masses = weighted_masses(self.params, self.grid, s)
+        if not all(map(math.isfinite, masses)):  # MassPair would blame m1, m2, never set
+            raise OverflowError(f"u_amplitude, v_amplitude and w_amplitude give initial "
+                                f"profiles whose masses (m1, m2) = {masses} overflow")
+        return s
 
 
 def _build(values: dict) -> RunConfig:

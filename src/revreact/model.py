@@ -230,7 +230,11 @@ def _balance_defect(p: ReactionParams, m: MassPair, c: float) -> float:
     """(M1/g - c*a/g)^a (M2/g - c*b/g)^b - c^g; decreasing in c."""
     a = (m.m1 - p.alpha * c) / p.gamma
     b = (m.m2 - p.beta * c) / p.gamma
-    return stoich_pow(a, p.alpha) * stoich_pow(b, p.beta) - stoich_pow(c, p.gamma)
+    try:
+        return stoich_pow(a, p.alpha) * stoich_pow(b, p.beta) - stoich_pow(c, p.gamma)
+    except OverflowError:  # float ** raises where numpy would give inf
+        raise OverflowError(f"a^alpha b^beta = c^gamma overflows for alpha={p.alpha!r}, "
+                            f"beta={p.beta!r}, gamma={p.gamma!r}") from None
 
 
 def compute_equilibrium(
@@ -266,8 +270,7 @@ def compute_equilibrium(
     c = 0.5 * (lo + hi)
     a = (m.m1 - p.alpha * c) / p.gamma
     b = (m.m2 - p.beta * c) / p.gamma
-    res = abs(stoich_pow(a, p.alpha) * stoich_pow(b, p.beta) - stoich_pow(c, p.gamma))
-    return Equilibrium(a_inf=a, b_inf=b, c_inf=c, residual=res)
+    return Equilibrium(a_inf=a, b_inf=b, c_inf=c, residual=abs(_balance_defect(p, m, c)))
 
 
 def equilibrium_residual(e: Equilibrium, p: ReactionParams) -> float:

@@ -23,7 +23,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, lapack
 
 from .entropy import dissipation, l1_distances
 from .grid import Grid1D, laplacian_neumann
@@ -168,6 +168,9 @@ class _DiffusionSolver:
     solve is used instead (substitution with an M-matrix Cholesky factor
     never produces negative cells from nonnegative data), with its sum
     defect absorbed into the largest cell.
+
+    Each species takes one Laplacian and one cho_solve_banded (LAPACK dpbtrs, which
+    checks nothing) on the factor cached per (dt, d); inf or NaN data raise ValueError.
     """
 
     def __init__(self, g: Grid1D):
@@ -192,16 +195,24 @@ class _DiffusionSolver:
     def solve(self, f: np.ndarray, d: float, dt: float) -> np.ndarray:
         factor = self._factor(d, dt)
         rhs = dt * d * laplacian_neumann(self.g, f)
-        delta = cho_solve_banded((factor, False), rhs)
-        delta -= delta.mean()
+        delta = cho_solve_banded(factor, rhs)
+        mean = delta.sum() / delta.size  # delta.mean(), without its Python wrapper
+        if not math.isfinite(mean) and not np.isfinite(rhs).all():
+            raise ValueError("diffusion right-hand side must not contain infs or NaNs")
+        delta -= mean
         out = f + delta
         if out.min() >= 0.0:
             return out
         target = math.fsum(f)
-        out = cho_solve_banded((factor, False), f)
+        out = cho_solve_banded(factor, f)  # f is finite, or the Laplacian would not be
         if target > 0.0:
             out[np.argmax(out)] += target - math.fsum(out)
         return out
+
+
+def cho_solve_banded(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """scipy.linalg.cho_solve_banded((factor, False), b) without its checks: LAPACK dpbtrs."""
+    return lapack.dpbtrs(factor, b)[0]
 
 
 def _weighted_sums(p: ReactionParams, s: State) -> np.ndarray:
@@ -255,8 +266,8 @@ def _attempt_step(
         return None
     scale = s.y.max()
     if scale > 0.0:
-        floor = _REL_CHANGE_FLOOR * scale
-        if not (np.max(np.abs(y2 - s.y) / (s.y + floor)) <= safety):
+        change = np.abs(y2 - s.y)
+        if not (np.divide(change, s.y + _REL_CHANGE_FLOOR * scale, out=change).max() <= safety):
             return None
     return State(s.t + dt, *y2)
 

@@ -101,3 +101,18 @@ def test_traced_run_and_estimate_match_untraced_and_report_strict_json():
     assert 0 < counts["solver.accepted"] <= counts["solver.attempts"]
     assert counts["solver.kept_state_bytes"] == 0
     json.dumps({**counts, **tracer.times(wall_ns)}, allow_nan=False)
+
+
+def test_traced_reference_run_repeats_the_baseline_counts(tmp_path):
+    # one banded solve and one Laplacian per species solve, and no fallback
+    hooks, workloads = _perfbench("hooks"), _perfbench("workloads")
+    baseline = json.loads((ROOT / "perfbench" / "baseline.json").read_text())
+    conf = tmp_path / "ref.conf"
+    conf.write_text(workloads.SimulateRef.config)
+    tracer = hooks.Tracer()
+    with tracer.hooked(), redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "ref.csv")]) == 0
+    keys = ("solver.attempts", "solver.accepted", "solver.banded_solves",
+            "grid.laplacian_calls", "solver.fallbacks")
+    counts = tracer.counts()
+    assert {k: counts[k] for k in keys} == {k: baseline["counts"]["simulate-ref"][k] for k in keys}

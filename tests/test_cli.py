@@ -144,6 +144,33 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "equilibrium"])
+    def test_overflowing_profile_masses_name_the_amplitudes(self, tmp_path, capsys, command):
+        # cosine-bump cells overflow at 2e308, so m1 derived from them is inf
+        conf = _write(tmp_path, "u_profile = cosine-bump\nu_amplitude = 1e308\n")
+        out = tmp_path / "x.csv"
+        argv = [command, "--config", str(conf)]
+        if command == "simulate":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "u_amplitude" in err and "m1 must be" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "equilibrium", "scan", "verify-eed"])
+    def test_overflowing_balance_law_names_the_exponents(self, tmp_path, capsys, command):
+        # the masses stay finite, but c**gamma overflows in the equilibrium bisection
+        conf = _write(tmp_path, "gamma = 1e308\nn_cells = 8\n"
+                                "u_amplitude = 0.5\nv_amplitude = 0.5\nw_amplitude = 1\n")
+        argv = [command, "--config", str(conf)]
+        if command != "equilibrium":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(name in err for name in ("alpha", "beta", "gamma"))
+
 
 # valid values keep every in-process run small: n_cells <= 16, t_end <= 0.05
 _VALID = {

@@ -79,6 +79,34 @@ def test_laplacian_integrates_to_zero_and_is_linear(g200):
     np.testing.assert_allclose(lhs, rhs, atol=1e-9 * scale)
 
 
+def _laplacian_diff_form(g, f):
+    """The Laplacian as first written, with np.diff and a zeroed output."""
+    flux = np.diff(f) / g.dx
+    out = np.zeros_like(f)
+    out[..., :-1] += flux
+    out[..., 1:] -= flux
+    return out / g.dx
+
+
+def _log_uniform(rng, shape):
+    return 10.0 ** rng.uniform(-300, 6, shape)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (200,), (4, 2), (5, 200)])
+def test_laplacian_matches_the_diff_form_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    g = Grid1D(shape[-1])
+    fields = [
+        _log_uniform(rng, shape),
+        rng.uniform(0, 5, shape),
+        np.full(shape, 2.0),  # equal neighbours: zero fluxes
+        np.where(rng.random(shape) < 0.5, -0.0, 0.0),  # signed zeros
+        np.where(rng.random(shape) < 0.3, 0.0, _log_uniform(rng, shape)),
+    ]
+    for f in fields:
+        assert laplacian_neumann(g, f).tobytes() == _laplacian_diff_form(g, f).tobytes()
+
+
 class TestFisher:
     def test_constant_is_zero(self, g200):
         assert fisher_information(g200, np.full(200, 4.0)) == 0.0

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from revreact import solver
 from revreact.grid import Grid1D, integrate
 from revreact.model import ReactionParams
 from revreact.solver import (
@@ -147,6 +149,33 @@ class TestStepImex:
         p = ReactionParams(1, 1, 1)
         with pytest.raises(ValueError):
             step_imex(p, homogeneous_state(8, 1, 1, 1), 0.0)
+
+
+class TestDiffusionSolve:
+    @pytest.mark.parametrize("n", [2, 3, 200, 2000])
+    def test_solve_matches_scipy_cho_solve_banded_bit_for_bit(self, n):
+        diffusion = solver._DiffusionSolver(Grid1D(n))
+        rng = np.random.default_rng(n)
+        for d, dt in [(1.0, 1e-2), (0.01, 1e-3), (3.0, 5e-6), (0.1, 1.0), (2.0, 1e-12)]:
+            factor = diffusion._factor(d, dt)
+            for b in (rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-300, 6, n)):
+                expected = scipy.linalg.cho_solve_banded((factor, False), b)
+                assert solver.cho_solve_banded(factor, b).tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _overflowing_state():
+        # every other cell at 1e306: the Laplacian's fluxes overflow to inf
+        u = np.where(np.arange(200) % 2 == 0, 1e306, 0.0)
+        return State(0.0, u, np.zeros(200), np.zeros(200))
+
+    def test_non_finite_right_hand_side_raises_in_a_step(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            step_imex(ReactionParams(1, 1, 1), self._overflowing_state(), 1e-3)
+
+    def test_non_finite_right_hand_side_raises_in_a_run(self):
+        cfg = StepConfig(dt_init=1e-3, t_end=1e-2)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            next(steps(ReactionParams(1, 1, 1), self._overflowing_state(), cfg))
 
 
 class TestRun:
