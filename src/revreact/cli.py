@@ -133,6 +133,7 @@ class RunConfig:
         )
 
     def initial_state(self) -> State:
+        """The t = 0 profiles; ValueError naming the amplitudes if a mass is 0 or not finite."""
         x = self.grid.cell_centers()
         with np.errstate(over="ignore"):
             s = State(0.0, *(
@@ -140,9 +141,9 @@ class RunConfig:
                 for c in "uvw"
             ))
             masses = weighted_masses(self.params, self.grid, s)
-        if not all(map(math.isfinite, masses)):  # MassPair would blame m1, m2, never set
-            raise OverflowError(f"u_amplitude, v_amplitude and w_amplitude give initial "
-                                f"profiles whose masses (m1, m2) = {masses} overflow")
+        if not all(0 < m < math.inf for m in masses):  # MassPair would blame m1, m2, never set
+            raise ValueError(f"u_amplitude, v_amplitude and w_amplitude give initial profiles "
+                             f"whose masses (m1, m2) = {masses} are not finite and > 0")
         return s
 
 

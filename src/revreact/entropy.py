@@ -80,10 +80,11 @@ def _species_gap(f: np.ndarray, ref) -> np.ndarray:
     ~ (x-ref)^2 / (2 ref).  Where x < ~1e-16 * ref, h rounds to exactly -1
     and 0 * log1p(-1) is NaN; there the naive form ref - x + x ln(x/ref)
     has no cancellation and tends to ref as x -> 0.  The density is
-    provably >= 0, so residual rounding (~1e-32) is clamped away.
+    provably >= 0, so residual rounding (~1e-32) is clamped away; where it
+    overflows it is inf, a value like the infinite reaction dissipation.
     """
     h = f / ref - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gap = ref * ((1.0 + h) * np.log1p(h) - h)
         tiny = h == -1.0
         if tiny.any():

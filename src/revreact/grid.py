@@ -55,16 +55,19 @@ def integrate(g: Grid1D, f: np.ndarray):
     return _reduced(g.dx * f.sum(axis=-1))
 
 
-def laplacian_neumann(g: Grid1D, f: np.ndarray) -> np.ndarray:
+def laplacian_neumann(g: Grid1D, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Conservative three-point Laplacian with zero-flux boundary closure.
 
     Interior face flux (f[i+1]-f[i])/dx, zero flux through both boundary
     faces; cell update is the flux difference divided by dx.  The output
-    integrates to zero (discrete divergence theorem).
+    integrates to zero (discrete divergence theorem).  It is written into
+    `out` when given, an array of f's shape that must not overlap f.
     """
     f = _check(g, f)
     flux = (f[..., 1:] - f[..., :-1]) / g.dx  # np.diff(f), without its Python wrapper
-    out = np.zeros_like(f)
+    if out is None:
+        out = np.empty_like(f)
+    out.fill(0.0)
     out[..., :-1] += flux  # adding to zeros, not copying: 0 + (-0.0) is +0.0
     out[..., 1:] -= flux
     return np.divide(out, g.dx, out=out)

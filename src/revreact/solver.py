@@ -13,7 +13,10 @@ every cell sum exactly.
 
 Positivity is enforced by step rejection followed by dt halving, never by
 clipping: a step that produces a negative cell, or changes any cell by
-more than the configured safety fraction, is discarded.
+more than the configured safety fraction, is discarded, and so is a
+reaction update that changes the sign of any cell's rate: it has carried
+the cell past its reaction equilibrium, so the entropy would rise.  A run
+makes all its attempts in one private _Workspace.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .model import (
     masses_of,
     require,
     stoich_pow,
-    uv_totals,
     weighted_masses,
 )
 
@@ -147,16 +149,28 @@ def reaction_rate(p: ReactionParams, u, v, w):
     ReactionParams.rate_factor); otherwise the parameters are expected to
     be pre-normalised to ell = k = 1.
     """
+    return _rate(p, u, v, w)
+
+
+def _rate(p: ReactionParams, u, v, w):
+    # reaction_rate's body; the overshoot test calls it, so reaction_rate runs once per attempt
     r = stoich_pow(u, p.alpha) * stoich_pow(v, p.beta) - stoich_pow(w, p.gamma)
     factor = p.rate_factor
     return r * factor if factor != 1.0 else r
 
 
-class _DiffusionSolver:
-    """Backward-Euler Neumann diffusion solves with cached factorizations.
+class _Workspace:
+    """What one run's IMEX attempts reuse: parameters, factors and buffers.
 
-    The update is solved in increment form, (I - dt*d*L) delta = dt*d*L f,
-    x_new = f + delta: the right-hand side vanishes as the field
+    Built once per run, it holds the start state's exact weighted sums (the
+    re-anchoring targets), nu as a (3, 1) column, the exponents and
+    diffusivities as floats, a banded Cholesky factor per (dt, d), and the
+    (3, n) buffers of the reaction update y1, the diffusion result y2 (whose
+    rows hold the right-hand sides until their solves return) and the change
+    test.  Only an accepted step is copied out, into a State.
+
+    The diffusion update is solved in increment form, (I - dt*d*L) delta =
+    dt*d*L f, x_new = f + delta: the right-hand side vanishes as the field
     homogenises, so solver rounding noise (eps * cond per cell for the
     direct form) decays together with the solution instead of putting a
     ~1e-13 floor under the distance to equilibrium.  The increment is
@@ -169,13 +183,21 @@ class _DiffusionSolver:
     never produces negative cells from nonnegative data), with its sum
     defect absorbed into the largest cell.
 
-    Each species takes one Laplacian and one cho_solve_banded (LAPACK dpbtrs, which
-    checks nothing) on the factor cached per (dt, d); inf or NaN data raise ValueError.
+    An attempt calls reaction_rate once and, per species, laplacian_neumann and
+    cho_solve_banded (LAPACK dpbtrs, which checks nothing) once, the latter twice
+    on a fallback, each looked up at call time.  Inf or NaN data raise ValueError.
     """
 
-    def __init__(self, g: Grid1D):
-        self.g = g
+    def __init__(self, p: ReactionParams, s0: State):
+        self.p = p
+        self.g = s0.grid
+        self.nu = p.nu[:, None]
+        self.alpha, self.beta, self.gamma = float(p.alpha), float(p.beta), float(p.gamma)
+        self.diffusivities = tuple(p.diffusivities.tolist())
+        self.anchors = masses_of(p, [math.fsum(f) for f in s0.y.tolist()]).tolist()
         self._factors: dict[tuple[float, float], np.ndarray] = {}
+        self.y1, self.y2, self.change = np.empty((3,) + s0.y.shape)
+        self._y1_rows = [memoryview(f) for f in self.y1]  # math.fsum reads these fastest
 
     def _factor(self, d: float, dt: float) -> np.ndarray:
         key = (dt, d)
@@ -192,22 +214,57 @@ class _DiffusionSolver:
             self._factors[key] = factor
         return factor
 
-    def solve(self, f: np.ndarray, d: float, dt: float) -> np.ndarray:
-        factor = self._factor(d, dt)
-        rhs = dt * d * laplacian_neumann(self.g, f)
-        delta = cho_solve_banded(factor, rhs)
-        mean = delta.sum() / delta.size  # delta.mean(), without its Python wrapper
-        if not math.isfinite(mean) and not np.isfinite(rhs).all():
-            raise ValueError("diffusion right-hand side must not contain infs or NaNs")
-        delta -= mean
-        out = f + delta
-        if out.min() >= 0.0:
-            return out
-        target = math.fsum(f)
-        out = cho_solve_banded(factor, f)  # f is finite, or the Laplacian would not be
-        if target > 0.0:
-            out[np.argmax(out)] += target - math.fsum(out)
-        return out
+    def attempt(self, s: State, dt: float, safety: float) -> State | None:
+        """The state after one IMEX step of size dt from s, or None if rejected."""
+        if dt <= 0:
+            raise ValueError("dt must be > 0")
+        p, y, y1, y2 = self.p, s.y, self.y1, self.y2
+        r = reaction_rate(p, *y)
+        np.add(y, np.multiply(dt * self.nu, r, out=y1), out=y1)
+        # A cell whose rate changes sign was carried past its reaction equilibrium.
+        # Tested before re-anchoring, whose rounding-sized gaps flip the sign at
+        # equilibrium; NaN and overflow are left to the tests below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if (r * _rate(p, *y1)).min() < 0.0:
+                return None
+        # The reaction contributions to the weighted sums cancel algebraically,
+        # but the per-cell updates round independently; re-anchor u and v to
+        # the conserved sums (model.uv_totals) so rounding cannot random-walk
+        # over a long run.
+        u_sum, v_sum, w_sum = [math.fsum(f) for f in self._y1_rows]
+        m1, m2 = self.anchors
+        u, v = y1[0], y1[1]
+        u[u.argmax()] += (m1 - self.alpha * w_sum) / self.gamma - u_sum
+        v[v.argmax()] += (m2 - self.beta * w_sum) / self.gamma - v_sum
+        # every test below is written to fail on NaN, which compares false
+        if not (y1.min() >= 0.0):
+            return None
+
+        for f, out, d in zip(y1, y2, self.diffusivities):
+            rhs = laplacian_neumann(self.g, f, out=out)
+            np.multiply(rhs, dt * d, out=rhs)
+            delta = cho_solve_banded(self._factor(d, dt), rhs)
+            mean = delta.sum() / delta.size  # delta.mean(), without its Python wrapper
+            if not math.isfinite(mean) and not np.isfinite(rhs).all():
+                raise ValueError("diffusion right-hand side must not contain infs or NaNs")
+            delta -= mean
+            np.add(f, delta, out=out)
+        if not (y2.min() >= 0.0):
+            for f, out, d in zip(y1, y2, self.diffusivities):
+                if not (out.min() >= 0.0):  # the direct solve; f is finite, as its Laplacian was
+                    target = math.fsum(f)
+                    out[:] = cho_solve_banded(self._factor(d, dt), f)
+                    if target > 0.0:
+                        out[np.argmax(out)] += target - math.fsum(out)
+            if not (y2.min() >= 0.0):
+                return None
+        scale = y.max()
+        if scale > 0.0:
+            change = np.abs(np.subtract(y2, y, out=self.change), out=self.change)
+            floor = np.add(y, _REL_CHANGE_FLOOR * scale, out=y1)  # y1 is spent
+            if not (np.divide(change, floor, out=change).max() <= safety):
+                return None
+        return State(s.t + dt, *y2)
 
 
 def cho_solve_banded(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,61 +272,16 @@ def cho_solve_banded(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lapack.dpbtrs(factor, b)[0]
 
 
-def _weighted_sums(p: ReactionParams, s: State) -> np.ndarray:
-    """Exact cell sums of gamma*u + alpha*w and gamma*v + beta*w."""
-    return masses_of(p, [math.fsum(f) for f in s.y.tolist()])
-
-
-def step_imex(
-    p: ReactionParams,
-    s: State,
-    dt: float,
-    diffusion: _DiffusionSolver | None = None,
-) -> State | None:
+def step_imex(p: ReactionParams, s: State, dt: float) -> State | None:
     """One IMEX step of size dt, or None if the step is rejected.
 
-    Rejection happens when the explicit reaction update turns any cell
-    negative, when the completed step leaves any cell negative, or when
-    any pointwise relative change exceeds the default safety cap of 0.2
-    (callers running adaptively pass their own cap through run()).
+    Rejection happens when the explicit reaction update changes the sign
+    of any cell's rate (overshoot) or turns any cell negative, when the
+    completed step leaves any cell negative, or when any pointwise relative
+    change exceeds the default safety cap of 0.2 (callers running
+    adaptively pass their own cap through run()).
     """
-    return _attempt_step(
-        p, s, dt, diffusion or _DiffusionSolver(s.grid), safety=0.2,
-        anchors=_weighted_sums(p, s),
-    )
-
-
-def _attempt_step(
-    p: ReactionParams,
-    s: State,
-    dt: float,
-    diffusion: _DiffusionSolver,
-    safety: float,
-    anchors: np.ndarray,
-) -> State | None:
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    r = reaction_rate(p, *s.y)
-    y1 = s.y + dt * p.nu[:, None] * r
-    # The reaction contributions to the weighted sums cancel algebraically,
-    # but the per-cell updates round independently; re-anchor u and v to
-    # the conserved sums so rounding cannot random-walk over a long run.
-    sums = [math.fsum(f) for f in y1.tolist()]  # lists sum faster than arrays
-    for f, gap in zip(y1[:2], uv_totals(p, anchors, sums[2]) - sums[:2]):
-        f[np.argmax(f)] += gap
-    # every test below is written to fail on NaN, which compares false
-    if not (y1.min() >= 0.0):
-        return None
-
-    y2 = np.array([diffusion.solve(f, d, dt) for f, d in zip(y1, p.diffusivities)])
-    if not (y2.min() >= 0.0):
-        return None
-    scale = s.y.max()
-    if scale > 0.0:
-        change = np.abs(y2 - s.y)
-        if not (np.divide(change, s.y + _REL_CHANGE_FLOOR * scale, out=change).max() <= safety):
-            return None
-    return State(s.t + dt, *y2)
+    return _Workspace(p, s).attempt(s, dt, safety=0.2)
 
 
 def _diagnostics(
@@ -306,13 +318,12 @@ def steps(p: ReactionParams, s0: State, cfg: StepConfig) -> Iterator[tuple[State
 
 
 def _accepted_steps(p: ReactionParams, s: State, cfg: StepConfig):
-    diffusion = _DiffusionSolver(s.grid)
-    anchors = _weighted_sums(p, s)
+    workspace = _Workspace(p, s)
     dt = cfg.dt_init
     accepted_since_double = 0
     while s.t < cfg.t_end - 1e-14 * cfg.t_end:
         dt_try = min(dt, cfg.t_end - s.t)
-        nxt = _attempt_step(p, s, dt_try, diffusion, cfg.safety, anchors)
+        nxt = workspace.attempt(s, dt_try, cfg.safety)
         if nxt is None:
             dt = 0.5 * dt_try
             accepted_since_double = 0

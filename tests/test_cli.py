@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +161,36 @@ class TestBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "u_amplitude" in err and "m1 must be" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "equilibrium"])
+    def test_zero_profile_masses_name_the_amplitudes(self, tmp_path, capsys, command):
+        # no u and no w: m1 = gamma*int(u) + alpha*int(w) derived from them is 0
+        conf = _write(tmp_path, "u_amplitude = 0\nw_amplitude = 0\n")
+        out = tmp_path / "x.csv"
+        argv = [command, "--config", str(conf)]
+        if command == "simulate":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "u_amplitude" in err and "m1 must be" not in err
+        assert not out.exists()
+
+    def test_huge_amplitude_prints_only_its_error_line(self, tmp_path):
+        # the t = 0 diagnostics row overflows in the entropy density; run in a
+        # fresh interpreter, where numpy's warnings reach stderr uncaptured
+        conf = _write(tmp_path, "v_amplitude = 1e306\nn_cells = 50\n")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from revreact.cli import main; sys.exit(main())",
+             "simulate", "--config", str(conf), "--out", str(tmp_path / "x.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
     @pytest.mark.parametrize("command", ["simulate", "equilibrium", "scan", "verify-eed"])
     def test_overflowing_balance_law_names_the_exponents(self, tmp_path, capsys, command):

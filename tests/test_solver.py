@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from revreact import solver
+from revreact.cli import validate_rows
 from revreact.grid import Grid1D, integrate
 from revreact.model import ReactionParams
 from revreact.solver import (
@@ -21,6 +24,12 @@ from revreact.solver import (
 
 def homogeneous_state(n, u, v, w):
     return State(0.0, np.full(n, float(u)), np.full(n, float(v)), np.full(n, float(w)))
+
+
+def vacuum_blocks(n):
+    """u on the left half, v on the right half, no w."""
+    x = Grid1D(n).cell_centers()
+    return State(0.0, np.where(x < 0.5, 2.0, 0.0), np.where(x >= 0.5, 2.0, 0.0), np.zeros(n))
 
 
 def rk4_homogeneous(y0, t_end, dt, alpha=1.0, beta=1.0, gamma=1.0):
@@ -154,7 +163,7 @@ class TestStepImex:
 class TestDiffusionSolve:
     @pytest.mark.parametrize("n", [2, 3, 200, 2000])
     def test_solve_matches_scipy_cho_solve_banded_bit_for_bit(self, n):
-        diffusion = solver._DiffusionSolver(Grid1D(n))
+        diffusion = solver._Workspace(ReactionParams(1, 1, 1), homogeneous_state(n, 1, 1, 1))
         rng = np.random.default_rng(n)
         for d, dt in [(1.0, 1e-2), (0.01, 1e-3), (3.0, 5e-6), (0.1, 1.0), (2.0, 1e-12)]:
             factor = diffusion._factor(d, dt)
@@ -219,6 +228,15 @@ class TestRun:
         assert traj.rows[-1].dt == dt
         assert not hasattr(traj, "states")
 
+    def test_reaction_overshoot_is_rejected_so_the_entropy_never_rises(self):
+        # with v at mean 30, an explicit update that passes the change cap can
+        # still carry cells past R = 0, where the entropy along their reaction
+        # line is smallest
+        x = Grid1D(200).cell_centers()
+        s0 = State(0.0, 1.0 - np.cos(2 * np.pi * x), np.full(200, 30.0), np.zeros(200))
+        cfg = StepConfig(dt_init=1e-2, t_end=1.0, record_every=1)
+        assert validate_rows(run(ReactionParams(2, 2, 3), s0, cfg).rows) == []
+
     def test_equilibrium_stays_flat(self):
         p = ReactionParams(1, 1, 1, d1=1, d2=2, d3=3)
         traj = run(p, homogeneous_state(16, 1, 1, 1), StepConfig(t_end=0.5, record_every=5))
@@ -278,6 +296,43 @@ class TestRun:
         traj = run(p, s0, StepConfig(dt_init=1e-4, t_end=0.05, record_every=50))
         m1 = traj.column("mass1")
         assert np.max(np.abs(m1 - m1[0])) <= 1e-12 * m1[0]
+
+
+class TestWorkspace:
+    """The buffers reused across attempts change no result and leak into no state."""
+
+    P = ReactionParams(2, 1, 3, d1=1.0, d2=0.1, d3=0.01)
+
+    def test_accepted_states_share_no_buffer(self):
+        kept, copies = [], []
+        for s, _ in steps(self.P, vacuum_blocks(40), StepConfig(dt_init=1e-3, t_end=0.05)):
+            if len(kept) < 20:
+                kept.append(s)
+                copies.append(s.y.copy())
+        assert len(kept) == 20
+        for s, y in zip(kept, copies):
+            np.testing.assert_array_equal(s.y, y)
+
+    def test_rejections_and_fallbacks_repeat_the_pinned_bits(self, monkeypatch):
+        # rows and final state of this run as computed before the workspace existed
+        # (numpy 2.4.6, scipy 1.17.1)
+        pinned = "7020aee539bf693240a9e7c05c849d921fe66b5a78570275cb9381509faa1cbb"
+        calls = dict.fromkeys(("reaction_rate", "State", "laplacian_neumann", "cho_solve_banded"), 0)
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+        traj = run(self.P, vacuum_blocks(400), StepConfig(dt_init=1e-3, t_end=0.2, record_every=5))
+        rows = np.array([dataclasses.astuple(r) for r in traj.rows])
+        digest = hashlib.sha256(rows.tobytes() + traj.final.y.tobytes()).hexdigest()
+        assert calls["reaction_rate"] > calls["State"]  # rejected attempts
+        assert calls["cho_solve_banded"] > calls["laplacian_neumann"]  # direct-solve fallbacks
+        assert digest == pinned
 
 
 class TestEntropyDissipationConsistency:
