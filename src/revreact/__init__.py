@@ -13,7 +13,6 @@ from .model import (
     RescaleReport,
     rescale_params,
     compute_equilibrium,
-    equilibrium_residual,
 )
 from .grid import Grid1D, integrate, laplacian_neumann, fisher_information
 from .solver import (
@@ -22,7 +21,6 @@ from .solver import (
     Trajectory,
     StepUnderflowError,
     reaction_rate,
-    step_imex,
     steps,
     run,
     z_linf,
@@ -48,7 +46,6 @@ __all__ = [
     "RescaleReport",
     "rescale_params",
     "compute_equilibrium",
-    "equilibrium_residual",
     "Grid1D",
     "integrate",
     "laplacian_neumann",
@@ -58,7 +55,6 @@ __all__ = [
     "Trajectory",
     "StepUnderflowError",
     "reaction_rate",
-    "step_imex",
     "steps",
     "run",
     "z_linf",

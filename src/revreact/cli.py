@@ -135,12 +135,11 @@ class RunConfig:
     def initial_state(self) -> State:
         """The t = 0 profiles; ValueError naming the amplitudes if a mass is 0 or not finite."""
         x = self.grid.cell_centers()
-        with np.errstate(over="ignore"):
-            s = State(0.0, *(
-                PROFILES[getattr(self, f"{c}_profile")](getattr(self, f"{c}_amplitude"), x)
-                for c in "uvw"
-            ))
-            masses = weighted_masses(self.params, self.grid, s)
+        s = State(0.0, *(
+            PROFILES[getattr(self, f"{c}_profile")](getattr(self, f"{c}_amplitude"), x)
+            for c in "uvw"
+        ))
+        masses = weighted_masses(self.params, self.grid, s)
         if not all(0 < m < math.inf for m in masses):  # MassPair would blame m1, m2, never set
             raise ValueError(f"u_amplitude, v_amplitude and w_amplitude give initial profiles "
                              f"whose masses (m1, m2) = {masses} are not finite and > 0")
@@ -468,7 +467,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # overflow to inf and the NaN after it are caught as values and reported
+        # in one error line; numpy's warnings about them would only add noise
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ return a Python float for one field and an array of S values for a stack.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ class Grid1D:
     n_cells: int = 200
 
     def __post_init__(self):
-        if not self.n_cells >= 2:
-            raise ValueError(f"n_cells must be >= 2, got {self.n_cells!r}")
+        if not (isinstance(self.n_cells, numbers.Integral) and self.n_cells >= 2):
+            raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
 
     @property
     def dx(self) -> float:

@@ -98,15 +98,10 @@ def mu_c_max(p: ReactionParams, e: Equilibrium) -> float:
     return -1.0 + np.sqrt(1.0 + bound)
 
 
-def scan_homogeneous_ratio(
-    p: ReactionParams,
-    m: MassPair,
-    n_grid: int = 2001,
-    exclusion: float = 1e-6,
-) -> RatioReport:
+def scan_homogeneous_ratio(p: ReactionParams, m: MassPair, n_grid: int = 2001) -> RatioReport:
     """Sweep the homogeneous perturbation family and bound its ratio.
 
-    A symmetric deleted neighborhood of half-width `exclusion` removes the
+    A symmetric deleted neighborhood of half-width 1e-6 removes the
     removable singularity at mu_c = 0; the limit there is recovered by
     one-sided Richardson extrapolation and reported as zero_limit.
     """
@@ -115,12 +110,11 @@ def scan_homogeneous_ratio(
     e = compute_equilibrium(p, m)
     hi = mu_c_max(p, e)
     grid = np.linspace(-1.0, hi, n_grid)
-    grid = grid[np.abs(grid) >= exclusion]
+    grid = grid[np.abs(grid) >= 1e-6]
     ratios = homogeneous_ratio(p, e, grid)
     i_min = int(np.argmin(ratios))
     i_max = int(np.argmax(ratios))
-    h = max(1e-3, 2.0 * exclusion)
-    r_h, r_h2 = homogeneous_ratio(p, e, np.array([h, 0.5 * h]))
+    r_h, r_h2 = homogeneous_ratio(p, e, np.array([1e-3, 0.5e-3]))
     return RatioReport(
         n_samples=len(grid),
         min_ratio=float(ratios[i_min]),

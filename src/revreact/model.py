@@ -193,36 +193,21 @@ def rescale_params(p: ReactionParams, domain_measure: float = 1.0) -> RescaleRep
     if not domain_measure > 0:
         raise ValueError("domain_measure must be > 0")
     space = domain_measure  # |Omega|^(1/N) with N = 1
-    if p.alpha + p.beta == p.gamma:
-        # Only the ratio ell/k matters here and it cannot be scaled away;
-        # to keep it in play during time stepping, pass the original
-        # parameters to the solver (rate_factor reapplies it).
-        d_scale = 1.0 / space**2
-        rescaled = ReactionParams(
-            p.alpha, p.beta, p.gamma, 1.0, 1.0,
-            p.d1 * d_scale, p.d2 * d_scale, p.d3 * d_scale,
-        )
-        return RescaleReport(
-            time_factor=1.0,
-            space_factor=space,
-            concentration_factor=1.0,
-            third_equation_factor=(p.ell / p.k) ** (1.0 / p.gamma),
-            rescaled=rescaled,
-        )
-    expo = p.alpha + p.beta - p.gamma
-    conc = (p.k / p.ell) ** (1.0 / expo)
-    time = (p.k / p.ell) ** ((1.0 - p.gamma) / expo) / p.k
+    conc = time = 1.0  # alpha + beta == gamma: ell/k cannot be scaled away (see rate_factor)
+    if p.alpha + p.beta != p.gamma:
+        expo = p.alpha + p.beta - p.gamma
+        conc = (p.k / p.ell) ** (1.0 / expo)
+        time = (p.k / p.ell) ** ((1.0 - p.gamma) / expo) / p.k
     d_scale = time / space**2
-    rescaled = ReactionParams(
-        p.alpha, p.beta, p.gamma, 1.0, 1.0,
-        p.d1 * d_scale, p.d2 * d_scale, p.d3 * d_scale,
-    )
     return RescaleReport(
         time_factor=time,
         space_factor=space,
         concentration_factor=conc,
-        third_equation_factor=1.0,
-        rescaled=rescaled,
+        third_equation_factor=p.rate_factor,
+        rescaled=ReactionParams(
+            p.alpha, p.beta, p.gamma, 1.0, 1.0,
+            p.d1 * d_scale, p.d2 * d_scale, p.d3 * d_scale,
+        ),
     )
 
 
@@ -237,20 +222,19 @@ def _balance_defect(p: ReactionParams, m: MassPair, c: float) -> float:
                             f"beta={p.beta!r}, gamma={p.gamma!r}") from None
 
 
-def compute_equilibrium(
-    p: ReactionParams, m: MassPair, tol: float = 1e-14, max_iter: int = 200
-) -> Equilibrium:
+def compute_equilibrium(p: ReactionParams, m: MassPair) -> Equilibrium:
     """Solve for the unique detailed-balance state with the given masses.
 
     c_inf is the root of (M1/g - c*a/g)^a (M2/g - c*b/g)^b = c^g on
     [0, min(M1/alpha, M2/beta)].  The left side is strictly decreasing and
-    the right side strictly increasing, so plain bisection cannot fail.
+    the right side strictly increasing, so plain bisection cannot fail; it
+    stops when the bracket is 1e-14 wide, within 200 halvings.
     """
     p.require_normalised("compute_equilibrium")
     lo = 0.0
     hi = min(m.m1 / p.alpha, m.m2 / p.beta)
     # defect(0) > 0 and defect(hi) < 0 for positive masses
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         d = _balance_defect(p, m, mid)
         if d == 0.0:
@@ -260,7 +244,7 @@ def compute_equilibrium(
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= 1e-14:
             break
     else:
         raise RuntimeError(
@@ -271,19 +255,6 @@ def compute_equilibrium(
     a = (m.m1 - p.alpha * c) / p.gamma
     b = (m.m2 - p.beta * c) / p.gamma
     return Equilibrium(a_inf=a, b_inf=b, c_inf=c, residual=abs(_balance_defect(p, m, c)))
-
-
-def equilibrium_residual(e: Equilibrium, p: ReactionParams) -> float:
-    """Re-evaluate the balance defect |a^alpha b^beta - c^gamma|."""
-    return abs(
-        stoich_pow(e.a_inf, p.alpha) * stoich_pow(e.b_inf, p.beta)
-        - stoich_pow(e.c_inf, p.gamma)
-    )
-
-
-def residual_scale(m: MassPair, p: ReactionParams) -> float:
-    """Natural size of the balance defect, max(1, M1, M2)^max(a+b, g)."""
-    return max(1.0, m.m1, m.m2) ** max(p.alpha + p.beta, p.gamma)
 
 
 def undo_rescale(r: RescaleReport) -> ReactionParams:
@@ -306,10 +277,3 @@ def undo_rescale(r: RescaleReport) -> ReactionParams:
         p.d1 / d_scale, p.d2 / d_scale, p.d3 / d_scale,
     )
 
-
-def check_equilibrium_conservation(
-    e: Equilibrium, p: ReactionParams, m: MassPair, rtol: float = 1e-12
-) -> bool:
-    """Both conservation identities hold to the given relative tolerance."""
-    held = masses_of(p, e.y)
-    return all(math.isclose(a, b, rel_tol=rtol) for a, b in zip(held, (m.m1, m.m2)))

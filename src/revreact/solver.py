@@ -272,18 +272,6 @@ def cho_solve_banded(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lapack.dpbtrs(factor, b)[0]
 
 
-def step_imex(p: ReactionParams, s: State, dt: float) -> State | None:
-    """One IMEX step of size dt, or None if the step is rejected.
-
-    Rejection happens when the explicit reaction update changes the sign
-    of any cell's rate (overshoot) or turns any cell negative, when the
-    completed step leaves any cell negative, or when any pointwise relative
-    change exceeds the default safety cap of 0.2 (callers running
-    adaptively pass their own cap through run()).
-    """
-    return _Workspace(p, s).attempt(s, dt, safety=0.2)
-
-
 def _diagnostics(
     g: Grid1D,
     p: ReactionParams,

@@ -176,10 +176,10 @@ class TestBoundary:
         assert "u_amplitude" in err and "m1 must be" not in err
         assert not out.exists()
 
-    def test_huge_amplitude_prints_only_its_error_line(self, tmp_path):
-        # the t = 0 diagnostics row overflows in the entropy density; run in a
-        # fresh interpreter, where numpy's warnings reach stderr uncaptured
-        conf = _write(tmp_path, "v_amplitude = 1e306\nn_cells = 50\n")
+    @staticmethod
+    def _assert_fresh_simulate_prints_one_error_line(tmp_path, text):
+        # a fresh interpreter, where numpy's warnings reach stderr uncaptured
+        conf = _write(tmp_path, text)
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -191,6 +191,20 @@ class TestBoundary:
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    def test_huge_amplitude_prints_only_its_error_line(self, tmp_path):
+        # the t = 0 diagnostics row overflows in the entropy density
+        self._assert_fresh_simulate_prints_one_error_line(
+            tmp_path, "v_amplitude = 1e306\nn_cells = 50\n")
+
+    @pytest.mark.parametrize("text", [
+        # the Fisher information of the t = 0 row overflows
+        "u_profile = two-blocks\nu_amplitude = 1e306\nn_cells = 50\n",
+        # v**2 overflows in stoich_pow
+        "alpha = 2\nbeta = 2\ngamma = 3\nv_amplitude = 1e200\nn_cells = 50\n",
+    ], ids=["fisher", "rate"])
+    def test_other_overflows_print_only_their_error_line(self, tmp_path, text):
+        self._assert_fresh_simulate_prints_one_error_line(tmp_path, text)
 
     @pytest.mark.parametrize("command", ["simulate", "equilibrium", "scan", "verify-eed"])
     def test_overflowing_balance_law_names_the_exponents(self, tmp_path, capsys, command):

@@ -9,8 +9,6 @@ from revreact.entropy import (
     ck_gap,
     dissipation,
     entropy,
-    entropy_vs_average,
-    q_gap,
     relative_entropy,
 )
 from revreact.grid import Grid1D, fisher_information, integrate
@@ -108,13 +106,10 @@ class TestRelativeEntropy:
         rng = np.random.default_rng(9)
         s = State(0.0, rng.uniform(0.1, 2, 64), rng.uniform(0.1, 2, 64), rng.uniform(0.1, 2, 64))
         total = relative_entropy(g, s, eq)
+        means = [integrate(g, f) for f in s.y]
         split = (
-            entropy_vs_average(g, s.u)
-            + entropy_vs_average(g, s.v)
-            + entropy_vs_average(g, s.w)
-            + q_gap(integrate(g, s.u), eq.a_inf)
-            + q_gap(integrate(g, s.v), eq.b_inf)
-            + q_gap(integrate(g, s.w), eq.c_inf)
+            relative_entropy(g, s, Equilibrium(*means, 0.0))
+            + relative_entropy(g, homogeneous(g, *means), eq)
         )
         assert split == pytest.approx(total, rel=1e-12)
 

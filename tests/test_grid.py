@@ -15,6 +15,18 @@ def test_grid_validation():
     assert Grid1D(2).dx == 0.5
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "4", None])
+def test_non_integer_cell_count_is_rejected_naming_n_cells(n):
+    with pytest.raises(ValueError, match="n_cells must be an integer >= 2"):
+        Grid1D(n)
+
+
+def test_numpy_integer_cell_count_is_accepted():
+    g = Grid1D(np.int64(4))
+    assert g.dx == 0.25
+    assert integrate(g, np.ones(4)) == 1.0
+
+
 def test_integrate_constants(g200):
     assert integrate(g200, np.full(200, 2.0)) == pytest.approx(2.0, rel=1e-15)
     g2 = Grid1D(2)
