@@ -381,12 +381,19 @@ def cmd_fit_rate(args) -> int:
     ], f"K_fit={k_fit!r} r_squared={r2!r}")
 
 
-def _diffusivity(text: str) -> float:
-    """argparse type of --da/--db: a finite number > 0 (usage error otherwise)."""
-    try:
-        return ReactionParams(d1=float(text)).d1
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}") from None
+def _finite(test, needs: str):
+    """argparse type: a finite number that passes `test` (usage error otherwise)."""
+
+    def parse(text: str) -> float:
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not (math.isfinite(x) and test(x)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {needs}, got {text!r}")
+        return x
+
+    return parse
 
 
 def cmd_duality(args) -> int:
@@ -424,37 +431,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, helptext, flags):
-        keys = COMMAND_KEYS[name]
-        sp = sub.add_parser(name, help=helptext, epilog=f"config keys: {', '.join(keys)}")
+    # a config subcommand's flags are exactly the keys it reads; a flag overrides the file
+    for name, (fn, helptext) in {
+        "simulate": (cmd_simulate, "integrate a run and write the trajectory CSV"),
+        "equilibrium": (cmd_equilibrium, "print the detailed-balance equilibrium"),
+        "scan": (cmd_scan, "scan the homogeneous distance/defect ratio"),
+        "verify-eed": (cmd_verify, "sample the entropy / entropy-dissipation ratio"),
+        "verify-ck": (cmd_verify, "sample the Csiszar-Kullback ratio"),
+    }.items():
+        sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", help="path to key = value config file")
-        for key in flags:
-            sp.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                            type=CONFIG_KEYS[key][0], help=f"override config key {key}")
+        for key in COMMAND_KEYS[name]:
+            typ, _, keyhelp = CONFIG_KEYS[key]
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, help=keyhelp)
         sp.set_defaults(fn=fn)
-
-    masses = ("alpha", "beta", "gamma", "m1", "m2")
-    add("simulate", cmd_simulate, "integrate a run and write the trajectory CSV",
-        ("t_end", "n_cells", "dt_init", "record_every", "out"))
-    add("equilibrium", cmd_equilibrium, "print the detailed-balance equilibrium", masses)
-    add("scan", cmd_scan, "scan the homogeneous distance/defect ratio",
-        masses + ("n_grid", "out"))
-    add("verify-eed", cmd_verify, "sample the entropy / entropy-dissipation ratio",
-        masses + ("n_samples", "n_cells", "seed", "out"))
-    add("verify-ck", cmd_verify, "sample the Csiszar-Kullback ratio",
-        masses + ("n_samples", "n_cells", "seed", "out"))
 
     sp = sub.add_parser("fit-rate", help="fit an exponential decay rate to a CSV column")
     sp.add_argument("--csv", required=True, help="trajectory CSV path")
     sp.add_argument("--column", default="E_rel", choices=CSV_COLUMNS, metavar="COLUMN",
                     help="column to fit (default E_rel)")
-    sp.add_argument("--r2-min", type=float, default=0.999, help="PASS threshold on r^2")
+    sp.add_argument("--r2-min", type=_finite(lambda x: x <= 1, "<= 1"), default=0.999,
+                    help="PASS threshold on r^2 (<= 1)")
     sp.add_argument("--out", help="report path")
     sp.set_defaults(fn=cmd_fit_rate)
 
     sp = sub.add_parser("duality", help="closeness margin of two diffusivities")
-    sp.add_argument("--da", type=_diffusivity, required=True, help="first diffusivity")
-    sp.add_argument("--db", type=_diffusivity, required=True, help="second diffusivity")
+    positive = _finite(lambda x: x > 0, "> 0")
+    sp.add_argument("--da", type=positive, required=True, help="first diffusivity")
+    sp.add_argument("--db", type=positive, required=True, help="second diffusivity")
     sp.set_defaults(fn=cmd_duality)
 
     sp = sub.add_parser("validate", help="re-check run invariants on a written CSV")

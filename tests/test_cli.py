@@ -13,6 +13,8 @@ from revreact.cli import (
     CONFIG_KEYS,
     ConfigError,
     RunConfig,
+    _config_from_args,
+    build_parser,
     fit_rate,
     main,
     parse_config,
@@ -20,8 +22,9 @@ from revreact.cli import (
     validate_rows,
     write_trajectory_csv,
 )
-from revreact.grid import integrate
-from revreact.solver import CSV_COLUMNS, run
+from revreact.grid import Grid1D, integrate
+from revreact.model import MassPair, ReactionParams
+from revreact.solver import CSV_COLUMNS, StepConfig, run
 
 
 REFERENCE_CONFIG = """\
@@ -227,11 +230,11 @@ _VALID = {
     "m1": ("2", "0.5"), "m2": ("2", "1e-3"), "n_cells": ("4", "16"),
     "u_profile": ("homogeneous", "cosine-bump", "two-blocks"),
     "v_profile": ("homogeneous", "two-blocks"), "w_profile": ("homogeneous", "cosine-bump"),
-    "u_amplitude": ("1", "0.5"), "v_amplitude": ("1", "2"), "w_amplitude": ("0.5",),
+    "u_amplitude": ("1", "0.5"), "v_amplitude": ("1", "2"), "w_amplitude": ("0.5", "0.25"),
     "dt_init": ("1e-2", "1e-3"), "dt_min": ("1e-12", "1e-4"), "safety": ("0.2", "1"),
     "t_end": ("0.01", "0.05"), "record_every": ("1", "5"), "seed": ("0", "7"),
     "n_samples": ("5", "20"), "n_grid": ("100", "150"), "floor_delta": ("1e-6", "0.01"),
-    "out": ("report.txt",),
+    "out": ("report.txt", "other.txt"),
 }
 _INVALID = ("0", "-1", "nan", "inf", "-inf", "1e308", "many")
 _NEVER_VALID = ("-1", "nan", "inf", "-inf")  # rejected for every key but out
@@ -279,6 +282,50 @@ class TestConfigFuzz:
         code = main(["simulate", "--config", str(conf), "--out", str(tmp_path / "f.csv")])
         assert code in (0, 1, 2)
         capsys.readouterr()
+
+
+def _config_value(cfg: RunConfig, key: str):
+    """The value of config key `key` in the built config."""
+    part = {ReactionParams: cfg.params, MassPair: cfg.explicit_masses, Grid1D: cfg.grid,
+            StepConfig: cfg.step, None: cfg}[CONFIG_KEYS[key][1]]
+    return getattr(part, key)
+
+
+class TestFlags:
+    """A config subcommand's flags are exactly the keys it reads."""
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, keys in COMMAND_KEYS.items() for key in keys
+    ])
+    def test_every_key_read_is_a_flag_that_overrides_the_file(self, tmp_path, command, key):
+        # gamma = 2 lets ell and k differ from 1; the masses are set together or not at all
+        text = "gamma = 2\n" + ("m1 = 2\nm2 = 2\n" if "m1" in COMMAND_KEYS[command] else "")
+        in_file, in_flag = _VALID[key][0], _VALID[key][-1]
+        assert in_file != in_flag
+        conf = _write(tmp_path, _with(text, key, in_file))
+        args = build_parser().parse_args(
+            [command, "--config", str(conf), f"--{key.replace('_', '-')}", in_flag])
+        cfg = _config_from_args(args)
+        assert _config_value(cfg, key) == CONFIG_KEYS[key][0](in_flag)
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, keys in COMMAND_KEYS.items()
+        for key in CONFIG_KEYS if key not in keys
+    ])
+    def test_a_key_not_read_is_no_flag(self, capsys, command, key):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{key.replace('_', '-')}", _VALID[key][0]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        [], *([command] for command in COMMAND_KEYS), ["fit-rate"], ["duality"], ["validate"],
+    ])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert "usage: revreact" in capsys.readouterr().out
 
 
 class TestProfiles:
@@ -424,6 +471,19 @@ class TestMain:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: must be a finite number > 0" in err
+
+    @pytest.mark.parametrize("r2_min", ["nan", "inf", "5"])
+    def test_fit_rate_rejects_a_threshold_no_fit_can_pass(self, tmp_path, capsys,
+                                                          small_traj, r2_min):
+        csv = tmp_path / "run.csv"
+        write_trajectory_csv(csv, small_traj)
+        out = tmp_path / "fit.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit-rate", "--csv", str(csv), "--r2-min", r2_min, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --r2-min: must be a finite number <= 1, got '{r2_min}'" in err
+        assert not out.exists()  # 0.99 passes: test_simulate_validate_fit_pipeline
 
     def test_verify_eed_never_reports_nan(self, tmp_path, capsys):
         out = tmp_path / "r.txt"

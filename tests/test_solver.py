@@ -253,7 +253,7 @@ class TestRun:
         p = ReactionParams(1, 1, 1, d1=1, d2=1, d3=1)
         s0 = State(0.0, 2.0 * (1 - np.cos(2 * np.pi * x)), np.full_like(x, 2.0), np.zeros_like(x))
         traj = run(p, s0, StepConfig(dt_init=5e-3, t_end=8.0, record_every=10))
-        t = traj.times()
+        t = traj.column("t")
         assert t[0] == 0.0
         assert np.all(np.diff(t) > 0)
         # masses constant, entropy monotone, positivity
@@ -353,7 +353,7 @@ class TestEntropyDissipationConsistency:
         )
         cfg = StepConfig(dt_init=dt, dt_min=dt / 8, safety=1.0, t_end=0.2, record_every=1)
         traj = run(p, s0, cfg)
-        t = traj.times()
+        t = traj.column("t")
         E = traj.column("E")
         D = traj.column("D")
         rates = -(E[1:] - E[:-1]) / np.diff(t)
