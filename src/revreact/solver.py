@@ -5,11 +5,11 @@ applies the pointwise reaction update
 
     y* = y + dt * nu * R,   nu = (-alpha, -beta, gamma),
 
-with R the (normalised) mass-action rate, then solves one backward-Euler
-tridiagonal system per species for the diffusion.  Both mass weights are
-orthogonal to nu, so gamma*int(u)+alpha*int(w) and gamma*int(v)+beta*int(w)
-are conserved to rounding, and the no-flux implicit diffusion conserves
-every cell sum exactly.
+with R the (normalised) mass-action rate, then solves one block-diagonal
+backward-Euler system, a tridiagonal block per species, for the diffusion.
+Both mass weights are orthogonal to nu, so gamma*int(u)+alpha*int(w) and
+gamma*int(v)+beta*int(w) are conserved to rounding, and the no-flux
+implicit diffusion conserves every cell sum exactly.
 
 Positivity is enforced by step rejection followed by dt halving, never by
 clipping: a step that produces a negative cell, or changes any cell by
@@ -22,6 +22,7 @@ makes all its attempts in one private _Workspace.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, fields as dataclass_fields
 
@@ -97,7 +98,8 @@ class StepConfig:
         require("dt_min", self.dt_min, 0 < self.dt_min <= self.dt_init, "> 0 and <= dt_init")
         require("safety", self.safety, 0 < self.safety <= 1, "> 0 and <= 1")
         require("t_end", self.t_end, self.t_end > 0, "> 0")
-        require("record_every", self.record_every, self.record_every >= 1, ">= 1")
+        ok = isinstance(self.record_every, numbers.Integral) and self.record_every >= 1
+        require("record_every", self.record_every, ok, "an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -157,55 +159,52 @@ class _Workspace:
     """What one run's IMEX attempts reuse: parameters, factors and buffers.
 
     Built once per run, it holds the start state's exact weighted sums (the
-    re-anchoring targets), nu as a (3, 1) column, the exponents and
-    diffusivities as floats, a banded Cholesky factor per (dt, d), and the
-    (3, n) buffers of the reaction update y1, the diffusion result y2 (whose
-    rows hold the right-hand sides until their solves return) and the change
-    test.  Only an accepted step is copied out, into a State.
+    re-anchoring targets), nu and the diffusivities d as (3, 1) columns, the
+    exponents as floats, one banded Cholesky factor per dt, and the (3, n)
+    buffers of the reaction update y1, the diffusion result y2 (which holds
+    the right-hand side until the solve returns) and the change test.  Only
+    an accepted step is copied out, into a State.
 
-    The diffusion update is solved in increment form, (I - dt*d*L) delta =
-    dt*d*L f, x_new = f + delta: the right-hand side vanishes as the field
-    homogenises, so solver rounding noise (eps * cond per cell for the
-    direct form) decays together with the solution instead of putting a
-    ~1e-13 floor under the distance to equilibrium.  The increment is
-    projected to zero sum, which the exact solve satisfies; each species'
-    cell sum is then conserved to one rounding of the final addition.
+    The three species diffuse as one system of 3n rows with uncoupled blocks,
+    which solves bit for bit as three.  It is solved in increment form,
+    (I - dt*d*L) delta = dt*d*L f, x_new = f + delta: the right-hand side
+    vanishes as the field homogenises, so solver rounding noise (eps * cond
+    per cell for the direct form) decays together with the solution instead
+    of putting a ~1e-13 floor under the distance to equilibrium.  The
+    increment is projected to zero sum, which the exact solve satisfies;
+    each species' cell sum is then conserved to one rounding of the final addition.
 
     Since delta may legitimately be negative, a cell sitting at vacuum can
-    be pushed slightly negative by rounding; in that rare case the direct
-    solve is used instead (substitution with an M-matrix Cholesky factor
-    never produces negative cells from nonnegative data), with its sum
-    defect absorbed into the largest cell.
+    be pushed slightly negative by rounding; in that rare case the species
+    takes the direct solve instead (substitution with an M-matrix Cholesky
+    factor never produces negative cells from nonnegative data), with its
+    sum defect absorbed into the largest cell.
 
-    An attempt calls reaction_rate once and, per species, laplacian_neumann and
-    cho_solve_banded (LAPACK dpbtrs, which checks nothing) once, the latter twice
-    on a fallback, each looked up at call time.  Inf or NaN data raise ValueError.
+    An attempt calls reaction_rate once, laplacian_neumann once and
+    cho_solve_banded (LAPACK dpbtrs, which checks nothing) once, twice on a
+    fallback, each looked up at call time.  Inf or NaN data raise ValueError.
     """
 
     def __init__(self, p: ReactionParams, s0: State):
         self.p = p
         self.g = s0.grid
         self.nu = p.nu[:, None]
+        self.d = p.diffusivities[:, None]
         self.alpha, self.beta, self.gamma = float(p.alpha), float(p.beta), float(p.gamma)
-        self.diffusivities = tuple(p.diffusivities.tolist())
         self.anchors = masses_of(p, [math.fsum(f) for f in s0.y.tolist()]).tolist()
-        self._factors: dict[tuple[float, float], np.ndarray] = {}
+        self._factors: dict[float, np.ndarray] = {}
         self.y1, self.y2, self.change = np.empty((3,) + s0.y.shape)
         self._y1_rows = [memoryview(f) for f in self.y1]  # math.fsum reads these fastest
 
-    def _factor(self, d: float, dt: float) -> np.ndarray:
-        key = (dt, d)
-        factor = self._factors.get(key)
+    def _factor(self, dt: float) -> np.ndarray:
+        factor = self._factors.get(dt)
         if factor is None:
-            n = self.g.n_cells
-            lam = dt * d / self.g.dx**2
-            ab = np.zeros((2, n))
-            ab[0, 1:] = -lam
-            ab[1, :] = 1.0 + 2.0 * lam
-            ab[1, 0] = 1.0 + lam
-            ab[1, -1] = 1.0 + lam
-            factor = cholesky_banded(ab)
-            self._factors[key] = factor
+            lam = dt * self.d / self.g.dx**2
+            ab = np.zeros((2,) + self.y1.shape)  # ab[0, :, 0] stays 0: the blocks do not couple
+            ab[0, :, 1:] = -lam
+            ab[1] = 1.0 + 2.0 * lam
+            ab[1][:, [0, -1]] = 1.0 + lam
+            factor = self._factors[dt] = cholesky_banded(ab.reshape(2, -1))
         return factor
 
     def attempt(self, s: State, dt: float, safety: float) -> State | None:
@@ -234,20 +233,20 @@ class _Workspace:
         if not (y1.min() >= 0.0):
             return None
 
-        for f, out, d in zip(y1, y2, self.diffusivities):
-            rhs = laplacian_neumann(self.g, f, out=out)
-            np.multiply(rhs, dt * d, out=rhs)
-            delta = cho_solve_banded(self._factor(d, dt), rhs)
-            mean = delta.sum() / delta.size  # delta.mean(), without its Python wrapper
-            if not math.isfinite(mean) and not np.isfinite(rhs).all():
-                raise ValueError("diffusion right-hand side must not contain infs or NaNs")
-            delta -= mean
-            np.add(f, delta, out=out)
+        rhs = laplacian_neumann(self.g, y1, out=y2)
+        np.multiply(rhs, dt * self.d, out=rhs)
+        delta = cho_solve_banded(self._factor(dt), rhs.reshape(-1)).reshape(rhs.shape)
+        mean = delta.sum(axis=1) / self.g.n_cells  # delta.mean(axis=1), without its wrapper
+        if not np.isfinite(mean).all() and not np.isfinite(rhs).all():
+            raise ValueError("diffusion right-hand side must not contain infs or NaNs")
+        delta -= mean[:, None]
+        np.add(y1, delta, out=y2)
         if not (y2.min() >= 0.0):
-            for f, out, d in zip(y1, y2, self.diffusivities):
-                if not (out.min() >= 0.0):  # the direct solve; f is finite, as its Laplacian was
+            direct = cho_solve_banded(self._factor(dt), y1.reshape(-1))  # y1 is finite, as L y1 was
+            for f, out, x in zip(y1, y2, direct.reshape(y1.shape)):
+                if not (out.min() >= 0.0):
                     target = math.fsum(f)
-                    out[:] = cho_solve_banded(self._factor(d, dt), f)
+                    out[:] = x
                     if target > 0.0:
                         out[np.argmax(out)] += target - math.fsum(out)
             if not (y2.min() >= 0.0):

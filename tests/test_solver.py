@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from revreact import solver
 from revreact.cli import validate_rows
+from revreact.entropy import entropy
 from revreact.grid import Grid1D, integrate
-from revreact.model import ReactionParams
+from revreact.model import ReactionParams, weighted_masses
 from revreact.solver import (
     State,
     StepConfig,
@@ -116,6 +118,12 @@ class TestStepConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite and"):
             StepConfig(**{field: value})
 
+    def test_record_every_must_be_an_integer(self):
+        # a stride of 2.5 would record where accepted % 2.5 == 0: every 5th step
+        with pytest.raises(ValueError, match="record_every must be an integer >= 1, got 2.5"):
+            StepConfig(record_every=2.5)
+        assert StepConfig(record_every=np.int64(3)).record_every == 3
+
 
 class TestStepImex:
     def test_equilibrium_is_fixed_point(self):
@@ -164,15 +172,49 @@ class TestStepImex:
 
 
 class TestDiffusionSolve:
+    DIFFUSIVITIES = [(1.0, 0.01, 3.0), (0.1, 2.0, 1.0)]
+    DTS = [1e-2, 1e-3, 5e-6, 1.0, 1e-12]
+
+    @staticmethod
+    def _workspace(n, d):
+        p = ReactionParams(1, 1, 1, d1=d[0], d2=d[1], d3=d[2])
+        return solver._Workspace(p, homogeneous_state(n, 1, 1, 1))
+
     @pytest.mark.parametrize("n", [2, 3, 200, 2000])
     def test_solve_matches_scipy_cho_solve_banded_bit_for_bit(self, n):
-        diffusion = solver._Workspace(ReactionParams(1, 1, 1), homogeneous_state(n, 1, 1, 1))
         rng = np.random.default_rng(n)
-        for d, dt in [(1.0, 1e-2), (0.01, 1e-3), (3.0, 5e-6), (0.1, 1.0), (2.0, 1e-12)]:
-            factor = diffusion._factor(d, dt)
-            for b in (rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-300, 6, n)):
-                expected = scipy.linalg.cho_solve_banded((factor, False), b)
-                assert solver.cho_solve_banded(factor, b).tobytes() == expected.tobytes()
+        for d in self.DIFFUSIVITIES:
+            workspace = self._workspace(n, d)
+            for dt in self.DTS:
+                factor = workspace._factor(dt)
+                for b in (rng.uniform(-1, 1, 3 * n), 10.0 ** rng.uniform(-300, 6, 3 * n)):
+                    expected = scipy.linalg.cho_solve_banded((factor, False), b)
+                    assert solver.cho_solve_banded(factor, b).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 200, 2000])
+    def test_block_factor_is_the_species_factors_side_by_side(self, n):
+        # the identity that keeps the three-species solve, and the reference CSV, bit for bit
+        dx2 = Grid1D(n).dx ** 2
+        rng = np.random.default_rng(n)
+        for d in self.DIFFUSIVITIES:
+            workspace = self._workspace(n, d)
+            for dt in self.DTS:
+                species = []
+                for dk in d:
+                    lam = dt * dk / dx2
+                    ab = np.empty((2, n))
+                    ab[0] = -lam
+                    ab[0, 0] = 0.0
+                    ab[1] = 1.0 + 2.0 * lam
+                    ab[1, [0, -1]] = 1.0 + lam
+                    species.append(scipy.linalg.cholesky_banded(ab))
+                factor = workspace._factor(dt)
+                assert factor.tobytes() == np.concatenate(species, axis=1).tobytes()
+                b = rng.uniform(-1, 1, (3, n))
+                each = [solver.cho_solve_banded(f, row) for f, row in zip(species, b)]
+                block = solver.cho_solve_banded(factor, b.ravel())
+                assert block.tobytes() == np.concatenate(each).tobytes()
+            assert list(workspace._factors) == self.DTS  # one factor per dt
 
     @staticmethod
     def _overflowing_state():
@@ -336,6 +378,30 @@ class TestWorkspace:
         assert calls["reaction_rate"] > calls["State"]  # rejected attempts
         assert calls["cho_solve_banded"] > calls["laplacian_neumann"]  # direct-solve fallbacks
         assert digest == pinned
+
+
+class TestInvariantsProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        exponents=st.tuples(*[st.integers(1, 3)] * 3),
+        d=st.tuples(*[st.floats(1e-2, 10.0)] * 3),
+        cells=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), min_size=36, max_size=36),
+    )
+    def test_every_accepted_state_conserves_masses_stays_nonnegative_and_dissipates(
+        self, exponents, d, cells
+    ):
+        p = ReactionParams(*exponents, d1=d[0], d2=d[1], d3=d[2])
+        g, s0 = Grid1D(12), State(0.0, *np.reshape(cells, (3, 12)))
+        masses, prev_E = weighted_masses(p, g, s0), entropy(g, s0)
+        s = s0
+        for s, _ in steps(p, s0, StepConfig(dt_init=1e-3, t_end=0.02)):
+            for m, m0 in zip(weighted_masses(p, g, s), masses):
+                assert abs(m - m0) <= 1e-11 * abs(m0)
+            assert s.min_concentration() >= 0.0
+            E = entropy(g, s)
+            assert E <= prev_E + 1e-10 * (1.0 + abs(prev_E))  # validate_rows' tolerance
+            prev_E = E
+        assert s.t == pytest.approx(0.02)
 
 
 class TestEntropyDissipationConsistency:
