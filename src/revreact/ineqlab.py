@@ -13,9 +13,9 @@ Four inequalities are probed by sampling the conservation manifold:
 
 All constants reported here are empirical min/max ratios over samples,
 not claims about the optimal constants, which are only known to exist.
-The sampled estimators draw sample i from its own default_rng([seed, i])
-and evaluate CHUNK samples at a time as one stacked State, so a report
-does not depend on CHUNK.
+The sampled estimators draw sample i from default_rng(SeedSequence([seed, i])),
+the same stream as default_rng([seed, i]), and evaluate CHUNK samples at a
+time as one stacked State, so a report does not depend on CHUNK.
 """
 
 from __future__ import annotations
@@ -126,23 +126,23 @@ def scan_homogeneous_ratio(p: ReactionParams, m: MassPair, n_grid: int = 2001) -
     )
 
 
-def _positive_shape(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Nonnegative piecewise-constant random shape with positive mean.
+def _positive_shape(rng: np.random.Generator, shape: np.ndarray) -> None:
+    """Fill shape in place with a nonnegative piecewise-constant random shape of positive mean.
 
     Mixes plain uniform cells, uniform cells silenced on a random window
     (to reach the degenerate corners of the manifold) and heavy-tailed
     spikes.
     """
+    n = shape.size
     kind = rng.integers(0, 3)
-    shape = rng.uniform(0.0, 1.0, n)
+    rng.random(out=shape)  # drawn for every kind: kind 2 discards it, but it advances the stream
     if kind == 1:
-        i0, i1 = np.sort(rng.integers(0, n, 2))
+        i0, i1 = sorted((rng.integers(0, n), rng.integers(0, n)))
         shape[i0:i1] = 0.0  # i1 < n keeps at least one live cell
     elif kind == 2:
-        shape = rng.exponential(1.0, n)
+        rng.standard_exponential(out=shape)
     if shape.sum() <= 0.0:
         shape[rng.integers(0, n)] = 1.0
-    return shape
 
 
 def default_floor(m: MassPair) -> float:
@@ -155,9 +155,10 @@ def _admissible_stack(
 ) -> State:
     """One admissible sample per seed, stacked as a State of (len(seeds), n) fields.
 
-    Each sample is drawn from its own default_rng(seed) in a fixed order (w's
-    mass fraction, then the w, u and v shapes); the floor, the rescaling to
-    the conserved masses and the feasibility check then act on the stack.
+    Each sample is drawn from its own default_rng(seed), where SeedSequence([s, i])
+    gives the stream of [s, i], in a fixed order: w's mass fraction, then the w, u
+    and v shapes straight into their rows of the stack.  The floor, the rescaling
+    to the conserved masses and the feasibility check then act on the stack.
     """
     delta = default_floor(m) if floor_delta is None else floor_delta
     if delta <= 0:
@@ -165,14 +166,13 @@ def _admissible_stack(
     bound = min(m.m1 / p.alpha, m.m2 / p.beta) - p.gamma * delta
     if bound <= delta:
         raise ValueError(f"floor_delta={delta} leaves no room for w below {bound}")
-    n = g.n_cells
     frac = np.empty(len(seeds))
-    shapes = np.empty((len(seeds), 3, n))  # of u, v, w, drawn in the order w, u, v
+    shapes = np.empty((len(seeds), 3, g.n_cells))  # of u, v, w, drawn in the order w, u, v
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         frac[k] = rng.uniform(0.02, 0.95)
         for j in (2, 0, 1):
-            shapes[k, j] = _positive_shape(rng, n)
+            _positive_shape(rng, shapes[k, j])
     means = shapes.mean(axis=-1)
 
     w_mass = delta + frac * (bound - delta)
@@ -229,7 +229,7 @@ def _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, pick_consta
     pairs = []
     n_informative = n_uncovered = n_bad = 0
     for start in range(0, n_samples, CHUNK):
-        seeds = [[seed, i] for i in range(start, min(start + CHUNK, n_samples))]
+        seeds = [np.random.SeedSequence([seed, i]) for i in range(start, n_samples)[:CHUNK]]
         s = _admissible_stack(p, m, g, seeds, floor_delta)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio, informative, uncovered = evaluate(s)

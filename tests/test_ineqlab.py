@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,7 +22,13 @@ from revreact.ineqlab import (
     trajectory_eed_constant,
     verify_csiszar_kullback,
 )
-from revreact.model import MassPair, ReactionParams, compute_equilibrium, stoich_pow
+from revreact.model import (
+    MassPair,
+    ReactionParams,
+    compute_equilibrium,
+    stoich_pow,
+    uv_totals,
+)
 from revreact.solver import State, StepConfig, run
 
 P111 = ReactionParams(1, 1, 1)
@@ -108,6 +115,80 @@ class TestSampler:
         assert type(s) is State
         assert s.t == 0.0
         np.testing.assert_array_equal(s.y, _admissible_stack(p, m, g, [[7, 3]], None).y[0])
+
+
+    def test_seed_may_be_a_list_or_its_seed_sequence(self):
+        p, m, g = ReactionParams(1, 2, 3), MassPair(4, 3), Grid1D(64)
+        listed = sample_admissible(p, m, g, [7, 3]).y
+        sequenced = sample_admissible(p, m, g, np.random.SeedSequence([7, 3])).y
+        assert listed.tobytes() == sequenced.tobytes()
+
+    def test_int_seed_gives_pinned_bytes(self):
+        y = sample_admissible(ReactionParams(1, 2, 3), MassPair(4, 3), Grid1D(64), 7).y
+        assert hashlib.sha256(y.tobytes()).hexdigest() == (
+            "bf584cc0607cb1171538dd8d890c1fce73e976650d8631594c167f9ce42a7bcd"
+        )
+
+
+def _drawn_the_old_way(p, m, g, seed, seen):
+    """One admissible sample drawn with the plainest calls of the stream contract.
+
+    default_rng(seed) gives w's mass fraction, then the w, u and v shapes,
+    each as kind, uniform cells, then the window's two ends (kind 1) or the
+    exponential cells (kind 2).  seen collects the kinds drawn, and a kind-1
+    window as (1, whether its two ends came out descending).
+    """
+    n = g.n_cells
+    rng = np.random.default_rng(seed)
+    frac = rng.uniform(0.02, 0.95)
+    shapes = {}
+    for j in (2, 0, 1):
+        kind = int(rng.integers(0, 3))
+        shape = rng.uniform(0.0, 1.0, n)
+        seen.add(kind)
+        if kind == 1:
+            ends = rng.integers(0, n, 2)
+            seen.add((1, bool(ends[0] > ends[1])))
+            i0, i1 = np.sort(ends)
+            shape[i0:i1] = 0.0
+        elif kind == 2:
+            shape = rng.exponential(1.0, n)
+        if shape.sum() <= 0.0:
+            shape[rng.integers(0, n)] = 1.0
+        shapes[j] = shape
+    delta = default_floor(m)
+    bound = min(m.m1 / p.alpha, m.m2 / p.beta) - p.gamma * delta
+    w_mass = delta + frac * (bound - delta)
+    w = delta + shapes[2] * (w_mass - delta) / shapes[2].mean()
+    uv_means = uv_totals(p, np.array([m.m1, m.m2]), integrate(g, w))
+    u, v = (delta + shapes[j] * (uv_means[j] - delta) / shapes[j].mean() for j in (0, 1))
+    return np.stack([u, v, w])
+
+
+class TestSamplerStream:
+    """The sampler's bits: sample i of seed s comes from default_rng([s, i])."""
+
+    P, M = ReactionParams(1, 2, 3), MassPair(4, 3)
+    SEEDS = [[2024, i] for i in range(300)]
+    # sha256 of the stacked fields, recorded before the shapes were drawn in place
+    STACK_SHA256 = {
+        (64, None): "1e5c25e75f7e3787e3506978a80060ac33e44e17f5c8974b32fff3d840732dd8",
+        (2, 1e-3): "45b6082f200696a3795e0a047162444afdfd65f8bdb15c85bedd0af936a68ef8",
+    }
+
+    @pytest.mark.parametrize("n_cells,floor_delta", STACK_SHA256)
+    def test_stack_digest_is_pinned(self, n_cells, floor_delta):
+        y = _admissible_stack(self.P, self.M, Grid1D(n_cells), self.SEEDS, floor_delta).y
+        digest = hashlib.sha256(y.tobytes()).hexdigest()
+        assert digest == self.STACK_SHA256[n_cells, floor_delta]
+
+    def test_rows_equal_the_plain_draws_byte_for_byte(self):
+        g, seen = Grid1D(64), set()
+        seeds = self.SEEDS[:4]
+        stack = _admissible_stack(self.P, self.M, g, seeds, None).y
+        for k, seed in enumerate(seeds):
+            assert stack[k].tobytes() == _drawn_the_old_way(self.P, self.M, g, seed, seen).tobytes()
+        assert {0, 1, 2, (1, True)} <= seen  # every kind, and a window drawn descending
 
 
 class TestK2Split:

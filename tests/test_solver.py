@@ -224,12 +224,14 @@ class TestDiffusionSolve:
 
     def test_non_finite_right_hand_side_raises_in_a_step(self):
         with pytest.raises(ValueError, match="infs or NaNs"):
-            step_imex(ReactionParams(1, 1, 1), self._overflowing_state(), 1e-3)
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                step_imex(ReactionParams(1, 1, 1), self._overflowing_state(), 1e-3)
 
     def test_non_finite_right_hand_side_raises_in_a_run(self):
         cfg = StepConfig(dt_init=1e-3, t_end=1e-2)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            next(steps(ReactionParams(1, 1, 1), self._overflowing_state(), cfg))
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                next(steps(ReactionParams(1, 1, 1), self._overflowing_state(), cfg))
 
 
 class TestRun:
