@@ -64,7 +64,7 @@ CONFIG_KEYS = {
     "t_end": (float, StepConfig, "final time (> 0)"),
     "record_every": (int, StepConfig, "diagnostics stride in accepted steps (>= 1)"),
     "seed": (int, None, "random seed for samplers (>= 0)"),
-    "n_samples": (int, None, "sample count for verification commands (>= 1)"),
+    "n_samples": (int, None, "sample count for verification commands (1 to 2**32 - 1)"),
     "n_grid": (int, None, "grid for the homogeneous-ratio scan (>= 100)"),
     "floor_delta": (float, None, "sampler cell floor (> 0; default 1e-6*min(m1,m2))"),
     "out": (str, None, "output path for CSV / report"),
@@ -123,6 +123,7 @@ class RunConfig:
                            ("seed", 0), ("n_samples", 1), ("n_grid", 100)):
             value = getattr(self, key)
             require(key, value, value >= least, f">= {least}")
+        require("n_samples", self.n_samples, self.n_samples < 2**32, "< 2**32")
         if self.floor_delta is not None:
             require("floor_delta", self.floor_delta, self.floor_delta > 0, "> 0")
 

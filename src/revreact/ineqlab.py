@@ -13,9 +13,9 @@ Four inequalities are probed by sampling the conservation manifold:
 
 All constants reported here are empirical min/max ratios over samples,
 not claims about the optimal constants, which are only known to exist.
-The sampled estimators draw sample i from default_rng(SeedSequence([seed, i])),
-the same stream as default_rng([seed, i]), and evaluate CHUNK samples at a
-time as one stacked State, so a report does not depend on CHUNK.
+The sampled estimators draw sample i from the stream of default_rng([seed, i]),
+whose seed words _seed_words hashes for a chunk of i at once, and evaluate
+CHUNK samples at a time as one stacked State, so a report does not depend on CHUNK.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .model import (
     MassPair,
     ReactionParams,
     compute_equilibrium,
+    require,
     stoich_pow,
     uv_totals,
 )
@@ -150,12 +151,50 @@ def default_floor(m: MassPair) -> float:
     return 1e-6 * min(m.m1, m.m2)
 
 
+def _seed_words(seed: int, indices) -> np.ndarray:
+    """SeedSequence([seed, i]).generate_state(4, np.uint64) for every i in indices, as rows."""
+    # numpy's hash: O'Neill's seed_seq (PCG report HMC-CS-2014-0905) with a pool of 4 words
+    h, mult_a, mult_b = 0x43B0D7E5, 0x931E8875, 0x58F38DED
+
+    def hashed(x, mult=mult_a):  # h runs through a fixed sequence, so x may hold all indices
+        nonlocal h
+        x, h = x ^ h, h * mult & 0xFFFFFFFF
+        x = x * h  # uint32 arithmetic wraps mod 2**32, as the hash does
+        return x ^ x >> 16
+
+    index = np.asarray(indices, dtype=np.uint32)
+    # mix_entropy: seed's 32-bit words, low first, then i; 0s fill a short entropy up to the pool
+    words = [np.full_like(index, seed >> k & 0xFFFFFFFF)
+             for k in range(0, max(seed.bit_length(), 1), 32)] + [index]
+    words += [np.zeros_like(index)] * (4 - len(words))
+    words[:4] = [hashed(word) for word in words[:4]]  # the pool
+    # every pool word into every other, so late words reach early ones, then each word past it
+    for src, dst in [(src, dst) for src in range(len(words)) for dst in range(4) if src != dst]:
+        x = words[dst] * 0xCA01F9DD - hashed(words[src]) * 0x4973F715
+        words[dst] = x ^ x >> 16
+    h = 0x8B51F9DD  # generate_state: 8 words from the pool, read as 4 little-endian uint64
+    state = np.stack([hashed(words[k % 4], mult_b) for k in range(8)], axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _PresetSeed(np.random.bit_generator.ISeedSequence):
+    """Answers PCG64's one request, 4 uint64 words, with a precomputed row; others raise."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a preset seed holds 4 uint64 words, not {n_words} of {dtype}")
+        return self.words
+
+
 def _admissible_stack(
     p: ReactionParams, m: MassPair, g: Grid1D, seeds, floor_delta: float | None
 ) -> State:
     """One admissible sample per seed, stacked as a State of (len(seeds), n) fields.
 
-    Each sample is drawn from its own default_rng(seed), where SeedSequence([s, i])
+    Each sample is drawn from its own default_rng(seed), where _PresetSeed(_seed_words(s, [i])[0])
     gives the stream of [s, i], in a fixed order: w's mass fraction, then the w, u
     and v shapes straight into their rows of the stack.  The floor, the rescaling
     to the conserved masses and the feasibility check then act on the stack.
@@ -224,13 +263,18 @@ def _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, pick_consta
     Only the first minimal and maximal sample of each chunk is kept, which
     gives the same first-occurrence argmin/argmax as one pass over all.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    from operator import index  # kept off the module's imports
+    try:
+        seed, n_samples = index(seed), index(n_samples)
+    except TypeError:
+        raise TypeError(f"seed and n_samples must be integers: {seed!r}, {n_samples!r}") from None
+    require("seed", seed, seed >= 0, ">= 0")
+    require("n_samples", n_samples, 1 <= n_samples < 2**32, "in [1, 2**32)")  # i is one seed word
     pairs = []
     n_informative = n_uncovered = n_bad = 0
     for start in range(0, n_samples, CHUNK):
-        seeds = [np.random.SeedSequence([seed, i]) for i in range(start, n_samples)[:CHUNK]]
-        s = _admissible_stack(p, m, g, seeds, floor_delta)
+        words = _seed_words(seed, np.arange(start, min(start + CHUNK, n_samples)))
+        s = _admissible_stack(p, m, g, [_PresetSeed(row) for row in words], floor_delta)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio, informative, uncovered = evaluate(s)
         n_uncovered += int(np.count_nonzero(uncovered))

@@ -228,7 +228,7 @@ def compute_equilibrium(p: ReactionParams, m: MassPair) -> Equilibrium:
     c_inf is the root of (M1/g - c*a/g)^a (M2/g - c*b/g)^b = c^g on
     [0, min(M1/alpha, M2/beta)].  The left side is strictly decreasing and
     the right side strictly increasing, so plain bisection cannot fail; it
-    stops when the bracket is 1e-14 wide, within 200 halvings.
+    stops when the bracket is 1e-14 wide or has no double inside, within 200 halvings.
     """
     p.require_normalised("compute_equilibrium")
     lo = 0.0
@@ -244,7 +244,7 @@ def compute_equilibrium(p: ReactionParams, m: MassPair) -> Equilibrium:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-14:
+        if hi - lo <= 1e-14 or not lo < 0.5 * (lo + hi) < hi:  # doubles past 64 are > 1e-14 apart
             break
     else:
         raise RuntimeError(

@@ -178,7 +178,7 @@ class _Workspace:
     be pushed slightly negative by rounding; in that rare case the species
     takes the direct solve instead (substitution with an M-matrix Cholesky
     factor never produces negative cells from nonnegative data), with its
-    sum defect absorbed into the largest cell.
+    sum defect absorbed into the largest cell; one solve covers the span of species that fell back.
 
     An attempt calls reaction_rate once, laplacian_neumann once and
     cho_solve_banded (LAPACK dpbtrs, which checks nothing) once, twice on a
@@ -242,8 +242,11 @@ class _Workspace:
         delta -= mean[:, None]
         np.add(y1, delta, out=y2)
         if not (y2.min() >= 0.0):
-            direct = cho_solve_banded(self._factor(dt), y1.reshape(-1))  # y1 is finite, as L y1 was
-            for f, out, x in zip(y1, y2, direct.reshape(y1.shape)):
+            fell_back = np.flatnonzero(~(y2.min(axis=1) >= 0.0))
+            lo, hi, n = fell_back[0], fell_back[-1] + 1, self.g.n_cells
+            # those blocks' columns of the factor are their factor; y1 is finite, as L y1 was
+            direct = cho_solve_banded(self._factor(dt)[:, lo * n:hi * n], y1[lo:hi].reshape(-1))
+            for f, out, x in zip(y1[lo:hi], y2[lo:hi], direct.reshape(hi - lo, n)):
                 if not (out.min() >= 0.0):
                     target = math.fsum(f)
                     out[:] = x

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,11 @@ class TestBoundary:
     def test_flag_overrides_are_validated(self, capsys):
         assert main(["equilibrium", "--m1", "nan", "--m2", "2"]) == 2
         assert "m1 must be finite and > 0" in capsys.readouterr().err
+
+    def test_n_samples_is_one_seed_word(self):
+        assert parse_config("n_samples = 4294967295\n", "verify-eed").n_samples == 2**32 - 1
+        with pytest.raises(ConfigError, match=re.escape("n_samples must be < 2**32")):
+            parse_config("", "verify-eed", {"n_samples": 2**32})
 
     def test_large_amplitude_is_a_domain_error(self, tmp_path, capsys):
         # overflows the mass sums: exit 1 with one line, not a traceback
@@ -456,6 +462,11 @@ class TestMain:
         assert code == 0
         assert "a_inf=1 b_inf=1 c_inf=1" in out
         assert "residual<=1e-12" in out
+
+    def test_equilibrium_command_at_moderate_masses(self, capsys):
+        # the bisection used to run out of halvings once c_inf >= 64
+        assert main(["equilibrium", "--m1", "100", "--m2", "100"]) == 0
+        assert "c_inf=90.4875078027" in capsys.readouterr().out
 
     def test_duality_command(self, capsys):
         code = main(["duality", "--da", "1", "--db", "3"])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from revreact.grid import Grid1D, integrate
 from revreact.ineqlab import (
     CHUNK,
     _admissible_stack,
+    _PresetSeed,
+    _sampled_report,
+    _seed_words,
     default_floor,
     duality_margin,
     elementary_inequality_gap,
@@ -189,6 +193,82 @@ class TestSamplerStream:
         for k, seed in enumerate(seeds):
             assert stack[k].tobytes() == _drawn_the_old_way(self.P, self.M, g, seed, seen).tobytes()
         assert {0, 1, 2, (1, True)} <= seen  # every kind, and a window drawn descending
+
+
+class TestSeedWords:
+    """_sampled_report seeds sample i with the PCG64 state SeedSequence([seed, i]) gives."""
+
+    P, M, G = ReactionParams(1, 2, 3), MassPair(4, 3), Grid1D(64)
+    # seeds of 1 to 7 words, with the edges of one word (2**32 - 1) and of two (2**32)
+    SEEDS = [0, 1, 2024, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1, 2**200]
+    # sha256 of repr((EED and CK at 1000 samples, K2 at 300)), recorded before the seed words
+    REPORT_SHA256 = {
+        2024: "4ac8880fa3d318fc1b395b6cb42be5d2b526ffc3602fb7cf4deac979e8bc832d",
+        1: "6ba6bc2269188af2076f3c85dd2b78e7cbb86e806c32f13cb04e7b125616467d",
+        7: "283febcfc37643d2d0f4b56f040bafef041f836e354217a3b3105177d96ef8e2",
+    }
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("start,stop", [(CHUNK - 40, CHUNK + 40), (2**32 - 50, 2**32)])
+    def test_words_equal_numpy_seed_sequence(self, seed, start, stop):
+        words = _seed_words(seed, np.arange(start, stop))
+        expected = [np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+                    for i in range(start, stop)]
+        assert words.dtype == np.uint64
+        assert words.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("n_words,dtype", [
+        (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.float64),
+    ])
+    def test_preset_seed_refuses_any_other_request(self, n_words, dtype):
+        preset = _PresetSeed(_seed_words(2024, [0])[0])
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            preset.generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("seed", [2024, 2**40 + 3])
+    def test_reports_draw_the_stacks_of_seed_lists(self, seed):
+        n, drawn = 300, []
+
+        def evaluate(s):
+            drawn.append(s.y.copy())
+            return np.ones(len(s.y)), np.ones(len(s.y), bool), False
+
+        _sampled_report(self.P, self.M, self.G, n, seed, None, evaluate, min)
+        expected = _admissible_stack(self.P, self.M, self.G, [[seed, i] for i in range(n)], None)
+        assert [len(y) for y in drawn] == [CHUNK, CHUNK, n - 2 * CHUNK]
+        assert np.concatenate(drawn).tobytes() == expected.y.tobytes()
+
+    @pytest.mark.parametrize("seed", REPORT_SHA256)
+    def test_reports_are_pinned(self, seed):
+        reports = (
+            estimate_eed_constant(self.P, self.M, self.G, 1000, seed=seed),
+            verify_csiszar_kullback(self.P, self.M, self.G, 1000, seed=seed),
+            estimate_k2_split(self.P, self.M, self.G, 300, k1=1.0, seed=seed),
+        )
+        assert hashlib.sha256(repr(reports).encode()).hexdigest() == self.REPORT_SHA256[seed]
+
+    @pytest.mark.parametrize("kwargs,error,message", [
+        ({"seed": -1}, ValueError, "seed must be >= 0, got -1"),
+        ({"seed": "3"}, TypeError, "seed and n_samples must be integers: '3', 5"),
+        ({"seed": [7, 3]}, TypeError, "seed and n_samples must be integers: [7, 3], 5"),
+        ({"seed": 2.0}, TypeError, "seed and n_samples must be integers: 2.0, 5"),
+        ({"n_samples": 0}, ValueError, "n_samples must be in [1, 2**32), got 0"),
+        ({"n_samples": 2**32}, ValueError, "n_samples must be in [1, 2**32), got 4294967296"),
+        ({"n_samples": 5.0}, TypeError, "seed and n_samples must be integers: 0, 5.0"),
+    ])
+    def test_seed_and_n_samples_are_validated_by_name(self, kwargs, error, message):
+        kwargs = {"n_samples": 5, **kwargs}
+        for estimate in (estimate_eed_constant, verify_csiszar_kullback):
+            with pytest.raises(error, match=re.escape(message)):
+                estimate(P111, M22, Grid1D(8), **kwargs)
+        with pytest.raises(error, match=re.escape(message)):
+            estimate_k2_split(P111, M22, Grid1D(8), k1=1.0, **kwargs)
+
+    def test_integer_likes_are_accepted(self):
+        g = Grid1D(8)
+        assert estimate_eed_constant(P111, M22, g, np.int64(5), seed=np.int64(3)) == (
+            estimate_eed_constant(P111, M22, g, 5, seed=3)
+        )
 
 
 class TestK2Split:

@@ -156,6 +156,26 @@ class TestEquilibrium:
         held = masses_of(p, eq.y)
         assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(held, (m1, m2)))
 
+    @pytest.mark.parametrize("exponents", [
+        (1, 1, 1), (2, 1, 1), (1, 2, 3), (2, 2, 3), (3, 3, 2), (1, 1, 2), (3, 1, 2),
+    ])
+    def test_converges_at_every_mass_scale(self, exponents):
+        # past c_inf = 64 adjacent doubles lie over 1e-14 apart, so the bracket
+        # must also stop once no double lies strictly inside it
+        p = ReactionParams(*exponents)
+        for m1 in np.geomspace(1e-3, 1e12, 61):
+            for m2 in (m1, 0.37 * m1):
+                eq = compute_equilibrium(p, MassPair(m1, m2))
+                budget = 1e-12 * max(1, m1, m2) ** max(p.alpha + p.beta, p.gamma)
+                assert eq.residual <= budget, (m1, m2)
+                held = masses_of(p, eq.y)
+                assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(held, (m1, m2)))
+
+    def test_masses_near_the_float_limit_give_a_finite_residual(self):
+        for exponents in ((1, 1, 1), (2, 1, 1)):
+            eq = compute_equilibrium(ReactionParams(*exponents), MassPair(1e300, 1e300))
+            assert math.isfinite(eq.residual)
+
     def test_monotone_in_m1(self):
         p = ReactionParams(2, 1, 3)
         c_values = [

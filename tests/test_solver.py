@@ -214,6 +214,9 @@ class TestDiffusionSolve:
                 each = [solver.cho_solve_banded(f, row) for f, row in zip(species, b)]
                 block = solver.cho_solve_banded(factor, b.ravel())
                 assert block.tobytes() == np.concatenate(each).tobytes()
+                for lo, hi in ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3)):  # the fallback's spans
+                    span = solver.cho_solve_banded(factor[:, lo * n:hi * n], b[lo:hi].ravel())
+                    assert span.tobytes() == np.concatenate(each[lo:hi]).tobytes()
             assert list(workspace._factors) == self.DTS  # one factor per dt
 
     @staticmethod
