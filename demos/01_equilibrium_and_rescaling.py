@@ -20,8 +20,7 @@ print("=== 1. rate normalisation ===")
 p = ReactionParams(1, 1, 1, ell=4.0, k=2.0, d1=1.0, d2=2.0, d3=3.0)
 rep = rescale_params(p)
 print(f"original rates: ell={p.ell}, k={p.k}")
-print(f"factors: time={rep.time_factor}, space={rep.space_factor}, "
-      f"concentration={rep.concentration_factor}")
+print(f"factors: time={rep.time_factor}, concentration={rep.concentration_factor}")
 print(f"rescaled diffusivities: ({rep.rescaled.d1}, {rep.rescaled.d2}, {rep.rescaled.d3})")
 q = undo_rescale(rep)
 print(f"round trip recovers ell={q.ell:.15g}, k={q.k:.15g}")

@@ -18,6 +18,8 @@ import numpy as np
 
 from .grid import Grid1D
 from .ineqlab import (
+    check_n_grid,
+    check_sampling_keys,
     duality_margin,
     estimate_eed_constant,
     scan_homogeneous_ratio,
@@ -119,11 +121,10 @@ class RunConfig:
             if getattr(self, key) not in PROFILES:
                 raise ValueError(f"{key} must be one of {', '.join(PROFILES)}, "
                                  f"got '{getattr(self, key)}'")
-        for key, least in (("u_amplitude", 0), ("v_amplitude", 0), ("w_amplitude", 0),
-                           ("seed", 0), ("n_samples", 1), ("n_grid", 100)):
-            value = getattr(self, key)
-            require(key, value, value >= least, f">= {least}")
-        require("n_samples", self.n_samples, self.n_samples < 2**32, "< 2**32")
+        for key in ("u_amplitude", "v_amplitude", "w_amplitude"):
+            require(key, getattr(self, key), getattr(self, key) >= 0, ">= 0")
+        check_sampling_keys(self.seed, self.n_samples)
+        check_n_grid(self.n_grid)
         if self.floor_delta is not None:
             require("floor_delta", self.floor_delta, self.floor_delta > 0, "> 0")
 

@@ -99,6 +99,11 @@ def mu_c_max(p: ReactionParams, e: Equilibrium) -> float:
     return -1.0 + np.sqrt(1.0 + bound)
 
 
+def check_n_grid(n_grid) -> None:
+    """The homogeneous scan's rule for its grid, which the config applies too."""
+    require("n_grid", n_grid, n_grid >= 100, ">= 100")
+
+
 def scan_homogeneous_ratio(p: ReactionParams, m: MassPair, n_grid: int = 2001) -> RatioReport:
     """Sweep the homogeneous perturbation family and bound its ratio.
 
@@ -106,8 +111,7 @@ def scan_homogeneous_ratio(p: ReactionParams, m: MassPair, n_grid: int = 2001) -
     removable singularity at mu_c = 0; the limit there is recovered by
     one-sided Richardson extrapolation and reported as zero_limit.
     """
-    if n_grid < 100:
-        raise ValueError("n_grid must be >= 100")
+    check_n_grid(n_grid)
     e = compute_equilibrium(p, m)
     hi = mu_c_max(p, e)
     grid = np.linspace(-1.0, hi, n_grid)
@@ -253,6 +257,18 @@ def _ratio_report(pairs: list[tuple[float, Any]], pick_constant) -> RatioReport:
     )
 
 
+def check_sampling_keys(seed, n_samples) -> tuple[int, int]:
+    """seed and n_samples as ints, each checked by name; the config applies the same rules."""
+    from operator import index  # kept off the module's imports
+    try:
+        seed, n_samples = index(seed), index(n_samples)
+    except TypeError:
+        raise TypeError(f"seed and n_samples must be integers: {seed!r}, {n_samples!r}") from None
+    require("seed", seed, seed >= 0, ">= 0")
+    require("n_samples", n_samples, 1 <= n_samples < 2**32, "in [1, 2**32)")  # i is one seed word
+    return seed, n_samples
+
+
 def _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, pick_constant):
     """Extremal ratios over the samples [seed, i], i < n_samples, CHUNK at a time.
 
@@ -263,13 +279,7 @@ def _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, pick_consta
     Only the first minimal and maximal sample of each chunk is kept, which
     gives the same first-occurrence argmin/argmax as one pass over all.
     """
-    from operator import index  # kept off the module's imports
-    try:
-        seed, n_samples = index(seed), index(n_samples)
-    except TypeError:
-        raise TypeError(f"seed and n_samples must be integers: {seed!r}, {n_samples!r}") from None
-    require("seed", seed, seed >= 0, ">= 0")
-    require("n_samples", n_samples, 1 <= n_samples < 2**32, "in [1, 2**32)")  # i is one seed word
+    seed, n_samples = check_sampling_keys(seed, n_samples)
     pairs = []
     n_informative = n_uncovered = n_bad = 0
     for start in range(0, n_samples, CHUNK):

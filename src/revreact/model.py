@@ -162,51 +162,43 @@ class RescaleReport:
     """Scale factors that normalise rates to ell = k = 1.
 
     The transformation maps a solution (u, v, w)(t, x) of the original
-    system to (u, v, w)(t*time_factor, x*space_factor)/concentration_factor
-    solving the normalised one; diffusivities pick up
-    time_factor/space_factor**2.  When alpha + beta == gamma no such
+    system to (u, v, w)(t*time_factor, x)/concentration_factor solving the
+    normalised one; diffusivities pick up time_factor (the domain is [0, 1],
+    so space needs no scaling).  When alpha + beta == gamma no such
     factors exist and the leftover (ell/k)^(1/gamma) is reported in
     third_equation_factor instead (1.0 otherwise).
     """
 
     time_factor: float
-    space_factor: float
     concentration_factor: float
     third_equation_factor: float
     rescaled: ReactionParams
 
 
-def rescale_params(p: ReactionParams, domain_measure: float = 1.0) -> RescaleReport:
-    """Normalise reaction rates to 1 by rescaling time, space and concentration.
+def rescale_params(p: ReactionParams) -> RescaleReport:
+    """Normalise reaction rates to 1 by rescaling time and concentration.
 
     For alpha + beta != gamma the factors are
 
         concentration_factor = (k/ell)^(1/(alpha+beta-gamma))
         time_factor          = (k/ell)^((1-gamma)/(alpha+beta-gamma)) / k
-        space_factor         = domain_measure   (1-D domain)
 
-    and the rescaled diffusivities are d_i * time_factor / space_factor**2.
+    and the rescaled diffusivities are d_i * time_factor.
     For alpha + beta == gamma only the residual third_equation_factor
     (ell/k)^(1/gamma) remains; it multiplies the normalised rate during
     time stepping (see solver.reaction_rate).
     """
-    if not domain_measure > 0:
-        raise ValueError("domain_measure must be > 0")
-    space = domain_measure  # |Omega|^(1/N) with N = 1
     conc = time = 1.0  # alpha + beta == gamma: ell/k cannot be scaled away (see rate_factor)
     if p.alpha + p.beta != p.gamma:
         expo = p.alpha + p.beta - p.gamma
         conc = (p.k / p.ell) ** (1.0 / expo)
         time = (p.k / p.ell) ** ((1.0 - p.gamma) / expo) / p.k
-    d_scale = time / space**2
     return RescaleReport(
         time_factor=time,
-        space_factor=space,
         concentration_factor=conc,
         third_equation_factor=p.rate_factor,
         rescaled=ReactionParams(
-            p.alpha, p.beta, p.gamma, 1.0, 1.0,
-            p.d1 * d_scale, p.d2 * d_scale, p.d3 * d_scale,
+            p.alpha, p.beta, p.gamma, 1.0, 1.0, p.d1 * time, p.d2 * time, p.d3 * time,
         ),
     )
 
@@ -271,9 +263,6 @@ def undo_rescale(r: RescaleReport) -> ReactionParams:
         )
     k = r.concentration_factor ** (1.0 - p.gamma) / r.time_factor
     ell = k / r.concentration_factor ** (p.alpha + p.beta - p.gamma)
-    d_scale = r.time_factor / r.space_factor**2
-    return ReactionParams(
-        p.alpha, p.beta, p.gamma, ell, k,
-        p.d1 / d_scale, p.d2 / d_scale, p.d3 / d_scale,
-    )
+    time = r.time_factor
+    return ReactionParams(p.alpha, p.beta, p.gamma, ell, k, p.d1 / time, p.d2 / time, p.d3 / time)
 

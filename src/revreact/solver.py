@@ -155,6 +155,11 @@ def reaction_rate(p: ReactionParams, u, v, w):
 _rate = reaction_rate  # the overshoot test's alias: hooks count calls to reaction_rate
 
 
+def _anchor(f: np.ndarray, target: float) -> None:
+    """Put the gap between target and the exact sum of f into f's largest cell."""
+    f[f.argmax()] += target - math.fsum(memoryview(f))  # fsum reads a memoryview fastest
+
+
 class _Workspace:
     """What one run's IMEX attempts reuse: parameters, factors and buffers.
 
@@ -162,23 +167,25 @@ class _Workspace:
     re-anchoring targets), nu and the diffusivities d as (3, 1) columns, the
     exponents as floats, one banded Cholesky factor per dt, and the (3, n)
     buffers of the reaction update y1, the diffusion result y2 (which holds
-    the right-hand side until the solve returns) and the change test.  Only
-    an accepted step is copied out, into a State.
+    the right-hand side until the solve returns) and the change test.  An
+    attempt is two substeps, either of which may reject it: _react writes
+    y + dt*nu*R into y1, _diffuse solves y1 into y2.  Only an accepted step
+    is copied out, into a State.  Every re-anchoring is one rule, _anchor.
 
-    The three species diffuse as one system of 3n rows with uncoupled blocks,
-    which solves bit for bit as three.  It is solved in increment form,
-    (I - dt*d*L) delta = dt*d*L f, x_new = f + delta: the right-hand side
-    vanishes as the field homogenises, so solver rounding noise (eps * cond
-    per cell for the direct form) decays together with the solution instead
-    of putting a ~1e-13 floor under the distance to equilibrium.  The
-    increment is projected to zero sum, which the exact solve satisfies;
-    each species' cell sum is then conserved to one rounding of the final addition.
-
-    Since delta may legitimately be negative, a cell sitting at vacuum can
-    be pushed slightly negative by rounding; in that rare case the species
-    takes the direct solve instead (substitution with an M-matrix Cholesky
-    factor never produces negative cells from nonnegative data), with its
-    sum defect absorbed into the largest cell; one solve covers the span of species that fell back.
+    The reaction conserves both weighted sums algebraically, but its cells
+    round independently, so _react re-anchors u and v to the start's sums,
+    lest rounding random-walk over a long run.  _diffuse solves the species
+    as one system of 3n rows with uncoupled blocks (bit for bit as three),
+    in increment form, (I - dt*d*L) delta = dt*d*L y1, y2 = y1 + delta: the
+    right-hand side vanishes as the field homogenises, so solver rounding
+    noise (eps * cond per cell for the direct form) decays with the solution
+    instead of putting a ~1e-13 floor under the distance to equilibrium.
+    The increment is projected to zero sum, as the exact solve's is, so each
+    cell sum is kept to one rounding.  A cell at vacuum can be pushed
+    slightly negative by rounding; such a species takes the direct solve
+    instead (an M-matrix Cholesky factor never makes negative cells from
+    nonnegative data), re-anchored to its sum in y1; one solve covers the
+    span that fell back.
 
     An attempt calls reaction_rate once, laplacian_neumann once and
     cho_solve_banded (LAPACK dpbtrs, which checks nothing) once, twice on a
@@ -194,7 +201,6 @@ class _Workspace:
         self.anchors = masses_of(p, [math.fsum(f) for f in s0.y.tolist()]).tolist()
         self._factors: dict[float, np.ndarray] = {}
         self.y1, self.y2, self.change = np.empty((3,) + s0.y.shape)
-        self._y1_rows = [memoryview(f) for f in self.y1]  # math.fsum reads these fastest
 
     def _factor(self, dt: float) -> np.ndarray:
         factor = self._factors.get(dt)
@@ -207,60 +213,60 @@ class _Workspace:
             factor = self._factors[dt] = cholesky_banded(ab.reshape(2, -1))
         return factor
 
-    def attempt(self, s: State, dt: float, safety: float) -> State | None:
-        """The state after one IMEX step of size dt from s, or None if rejected."""
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
-        p, y, y1, y2 = self.p, s.y, self.y1, self.y2
+    def _react(self, y: np.ndarray, dt: float) -> bool:
+        """Write the reaction update of y into y1; False if it overshoots or goes negative."""
+        p, y1 = self.p, self.y1
         r = reaction_rate(p, *y)
         np.add(y, np.multiply(dt * self.nu, r, out=y1), out=y1)
         # A cell whose rate changes sign was carried past its reaction equilibrium.
         # Tested before re-anchoring, whose rounding-sized gaps flip the sign at
-        # equilibrium; NaN and overflow are left to the tests below.
+        # equilibrium; NaN and overflow are left to the test below.
         with np.errstate(over="ignore", invalid="ignore"):
             if (r * _rate(p, *y1)).min() < 0.0:
-                return None
-        # The reaction contributions to the weighted sums cancel algebraically,
-        # but the per-cell updates round independently; re-anchor u and v to
-        # the conserved sums (model.uv_totals) so rounding cannot random-walk
-        # over a long run.
-        u_sum, v_sum, w_sum = [math.fsum(f) for f in self._y1_rows]
+                return False
+        w_total = math.fsum(memoryview(y1[2]))
         m1, m2 = self.anchors
-        u, v = y1[0], y1[1]
-        u[u.argmax()] += (m1 - self.alpha * w_sum) / self.gamma - u_sum
-        v[v.argmax()] += (m2 - self.beta * w_sum) / self.gamma - v_sum
-        # every test below is written to fail on NaN, which compares false
-        if not (y1.min() >= 0.0):
-            return None
+        _anchor(y1[0], (m1 - self.alpha * w_total) / self.gamma)
+        _anchor(y1[1], (m2 - self.beta * w_total) / self.gamma)
+        return bool(y1.min() >= 0.0)  # written to fail on NaN, which compares false
 
+    def _diffuse(self, dt: float) -> bool:
+        """Write the diffusion of y1 over dt into y2; False if a cell ends negative."""
+        y1, y2, factor = self.y1, self.y2, self._factor(dt)
         rhs = laplacian_neumann(self.g, y1, out=y2)
         np.multiply(rhs, dt * self.d, out=rhs)
-        delta = cho_solve_banded(self._factor(dt), rhs.reshape(-1)).reshape(rhs.shape)
+        delta = cho_solve_banded(factor, rhs.reshape(-1)).reshape(rhs.shape)
         mean = delta.sum(axis=1) / self.g.n_cells  # delta.mean(axis=1), without its wrapper
         if not np.isfinite(mean).all() and not np.isfinite(rhs).all():
             raise ValueError("diffusion right-hand side must not contain infs or NaNs")
         delta -= mean[:, None]
         np.add(y1, delta, out=y2)
-        if not (y2.min() >= 0.0):
-            fell_back = np.flatnonzero(~(y2.min(axis=1) >= 0.0))
-            lo, hi, n = fell_back[0], fell_back[-1] + 1, self.g.n_cells
-            # those blocks' columns of the factor are their factor; y1 is finite, as L y1 was
-            direct = cho_solve_banded(self._factor(dt)[:, lo * n:hi * n], y1[lo:hi].reshape(-1))
-            for f, out, x in zip(y1[lo:hi], y2[lo:hi], direct.reshape(hi - lo, n)):
-                if not (out.min() >= 0.0):
-                    target = math.fsum(f)
-                    out[:] = x
-                    if target > 0.0:
-                        out[np.argmax(out)] += target - math.fsum(out)
-            if not (y2.min() >= 0.0):
-                return None
+        if y2.min() >= 0.0:
+            return True
+        fell_back = np.flatnonzero(~(y2.min(axis=1) >= 0.0))
+        lo, hi, n = fell_back[0], fell_back[-1] + 1, self.g.n_cells
+        # those blocks' columns of the factor are their factor; y1 is finite, as L y1 was
+        direct = cho_solve_banded(factor[:, lo * n:hi * n], y1[lo:hi].reshape(-1))
+        for f, out, x in zip(y1[lo:hi], y2[lo:hi], direct.reshape(hi - lo, n)):
+            if not (out.min() >= 0.0):
+                out[:] = x
+                _anchor(out, math.fsum(memoryview(f)))
+        return bool(y2.min() >= 0.0)
+
+    def attempt(self, s: State, dt: float, safety: float) -> State | None:
+        """The state after one IMEX step of size dt from s, or None if rejected."""
+        if dt <= 0:
+            raise ValueError("dt must be > 0")
+        y = s.y
+        if not (self._react(y, dt) and self._diffuse(dt)):
+            return None
         scale = y.max()
         if scale > 0.0:
-            change = np.abs(np.subtract(y2, y, out=self.change), out=self.change)
-            floor = np.add(y, _REL_CHANGE_FLOOR * scale, out=y1)  # y1 is spent
+            change = np.abs(np.subtract(self.y2, y, out=self.change), out=self.change)
+            floor = np.add(y, _REL_CHANGE_FLOOR * scale, out=self.y1)  # y1 is spent
             if not (np.divide(change, floor, out=change).max() <= safety):
                 return None
-        return State(s.t + dt, *y2)
+        return State(s.t + dt, *self.y2)
 
 
 def cho_solve_banded(factor: np.ndarray, b: np.ndarray) -> np.ndarray:

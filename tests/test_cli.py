@@ -147,8 +147,19 @@ class TestBoundary:
 
     def test_n_samples_is_one_seed_word(self):
         assert parse_config("n_samples = 4294967295\n", "verify-eed").n_samples == 2**32 - 1
-        with pytest.raises(ConfigError, match=re.escape("n_samples must be < 2**32")):
+        with pytest.raises(ConfigError, match=re.escape("n_samples must be in [1, 2**32), got")):
             parse_config("", "verify-eed", {"n_samples": 2**32})
+
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("verify-eed", "--seed", "-1", "seed must be >= 0, got -1"),
+        ("verify-ck", "--n-samples", "0", "n_samples must be in [1, 2**32), got 0"),
+        ("scan", "--n-grid", "99", "n_grid must be >= 100, got 99"),
+    ])
+    def test_sampling_keys_follow_the_estimators_rules(self, capsys, command, flag, value,
+                                                       message):
+        # the estimators' own checks, applied when the config is built: exit 2 naming the key
+        assert main([command, "--m1", "2", "--m2", "2", flag, value]) == 2
+        assert message in capsys.readouterr().err
 
     def test_large_amplitude_is_a_domain_error(self, tmp_path, capsys):
         # overflows the mass sums: exit 1 with one line, not a traceback

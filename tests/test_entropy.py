@@ -13,7 +13,13 @@ from revreact.entropy import (
 )
 from revreact.grid import Grid1D, fisher_information, integrate
 from revreact.ineqlab import sample_admissible
-from revreact.model import Equilibrium, MassPair, ReactionParams, compute_equilibrium
+from revreact.model import (
+    Equilibrium,
+    MassPair,
+    ReactionParams,
+    compute_equilibrium,
+    weighted_masses,
+)
 from revreact.solver import State
 
 E_NUM = math.e
@@ -159,8 +165,8 @@ class TestDissipation:
         )
 
     def test_equilibrium_computed_from_state_masses(self, g, p):
-        # no explicit equilibrium: derived from the state's own masses
-        rep = dissipation(g, p, homogeneous(g, 1.5, 1.5, 0.5))
+        s = homogeneous(g, 1.5, 1.5, 0.5)
+        rep = dissipation(g, p, s, compute_equilibrium(p, MassPair(*weighted_masses(p, g, s))))
         assert rep.E_rel == pytest.approx(0.36982173404452049, rel=1e-12)
         assert rep.D == pytest.approx(2.6321354443584796, rel=1e-12)
         assert rep.D / rep.E_rel == pytest.approx(7.1173086978214578, rel=1e-11)
@@ -197,11 +203,6 @@ class TestStackedStates:
         u[1] = 1.1
         with pytest.raises(ValueError, match=r"1 of 3 state\(s\) do not carry"):
             ck_gap(g, p, State(0.0, u, np.ones_like(u), np.ones_like(u)), eq)
-
-    def test_stacked_state_needs_an_equilibrium(self, g, p):
-        stacked, _ = self._stack(g, np.random.default_rng(1), 2)
-        with pytest.raises(ValueError, match="explicit equilibrium"):
-            dissipation(g, p, stacked)
 
 
 class TestCkGap:

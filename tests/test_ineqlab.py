@@ -32,6 +32,7 @@ from revreact.model import (
     compute_equilibrium,
     stoich_pow,
     uv_totals,
+    weighted_masses,
 )
 from revreact.solver import State, StepConfig, run
 
@@ -417,7 +418,8 @@ class TestCsiszarKullback:
     def test_homogeneous_sample_matches_direct_evaluation(self):
         g = Grid1D(32)
         s = State(0.0, np.full(32, 1.1), np.full(32, 1.1), np.full(32, 0.9))
-        rep = dissipation(g, P111, s)
+        e = compute_equilibrium(P111, MassPair(*weighted_masses(P111, g, s)))
+        rep = dissipation(g, P111, s, e)
         # lhs from the report, rhs by hand: three L1 distances of 0.1
         assert rep.E_rel / 0.03 == pytest.approx(0.49526438258236737, rel=1e-10)
 

@@ -11,7 +11,7 @@ from revreact import solver
 from revreact.cli import validate_rows
 from revreact.entropy import entropy
 from revreact.grid import Grid1D, integrate
-from revreact.model import ReactionParams, weighted_masses
+from revreact.model import ReactionParams, masses_of, weighted_masses
 from revreact.solver import (
     State,
     StepConfig,
@@ -383,6 +383,69 @@ class TestWorkspace:
         assert calls["reaction_rate"] > calls["State"]  # rejected attempts
         assert calls["cho_solve_banded"] > calls["laplacian_neumann"]  # direct-solve fallbacks
         assert digest == pinned
+
+
+class TestSubsteps:
+    """Each substep of an attempt keeps its own invariants, tested without the other."""
+
+    PROFILES = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), min_size=36, max_size=36)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exponents=st.tuples(*[st.integers(1, 3)] * 3), cells=PROFILES,
+           dt=st.floats(1e-6, 0.5))
+    def test_react_keeps_the_anchored_masses_and_no_negative_cell(self, exponents, cells, dt):
+        p = ReactionParams(*exponents)
+        s = State(0.0, *np.reshape(cells, (3, 12)))
+        workspace = solver._Workspace(p, s)
+        if workspace._react(s.y, dt):
+            totals = [math.fsum(f) for f in workspace.y1]
+            for m, anchor in zip(masses_of(p, totals), workspace.anchors):
+                assert abs(m - anchor) <= 1e-11 * abs(anchor)
+            assert workspace.y1.min() >= 0.0
+
+    def test_react_rejects_an_overshoot(self):
+        # R = 1 at (1, 1, 0); dt = 0.9 lands on (0.1, 0.1, 0.9), where R < 0
+        s = homogeneous_state(8, 1, 1, 0)
+        workspace = solver._Workspace(ReactionParams(1, 1, 1), s)
+        assert workspace._react(s.y, 1e-2)
+        assert not workspace._react(s.y, 0.9)
+        assert workspace.y1.min() >= 0.0  # rejected for the overshoot, not for a negative cell
+
+    @staticmethod
+    def _diffused(p, y1, dt):
+        workspace = solver._Workspace(p, State(0.0, *y1))
+        workspace.y1[:] = y1
+        ok = workspace._diffuse(dt)
+        for before, after in zip(y1, workspace.y2):
+            # a few roundings of the cells and of their changes; the direct solve alone is
+            # further off, so this also checks that a fallback row is re-anchored
+            rounding = 4 * np.finfo(float).eps * math.fsum(before + np.abs(after - before))
+            assert abs(math.fsum(after) - math.fsum(before)) <= rounding
+        if ok:
+            assert workspace.y2.min() >= 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.tuples(*[st.floats(1e-2, 10.0)] * 3), cells=PROFILES, dt=st.floats(1e-8, 1.0))
+    def test_diffuse_keeps_each_row_sum(self, d, cells, dt):
+        self._diffused(ReactionParams(d1=d[0], d2=d[1], d3=d[2]), np.reshape(cells, (3, 12)), dt)
+
+    def test_diffuse_fallback_leaves_no_negative_cell(self, monkeypatch):
+        solves, cho_solve_banded = [], solver.cho_solve_banded
+
+        def counted(*args):
+            solves.append(args)
+            return cho_solve_banded(*args)
+
+        monkeypatch.setattr(solver, "cho_solve_banded", counted)
+        fell_back = 0
+        for n in (40, 100, 400):
+            for d in ((1.0, 0.1, 0.01), (1.0, 1.0, 1.0), (0.01, 0.01, 0.01)):
+                p = ReactionParams(2, 1, 3, d1=d[0], d2=d[1], d3=d[2])
+                for dt in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+                    solves.clear()
+                    self._diffused(p, vacuum_blocks(n).y, dt)
+                    fell_back += len(solves) == 2
+        assert fell_back >= 10  # the direct solve ran, and its cells were checked
 
 
 class TestInvariantsProperty:
