@@ -220,13 +220,14 @@ def compute_equilibrium(p: ReactionParams, m: MassPair) -> Equilibrium:
     c_inf is the root of (M1/g - c*a/g)^a (M2/g - c*b/g)^b = c^g on
     [0, min(M1/alpha, M2/beta)].  The left side is strictly decreasing and
     the right side strictly increasing, so plain bisection cannot fail; it
-    stops when the bracket is 1e-14 wide or has no double inside, within 200 halvings.
+    stops when the bracket is 1e-14 wide, relative to its upper end below 1,
+    or has no double inside: within 2200 halvings, as 2^1024 / 2^-1074 is 2^2098.
     """
     p.require_normalised("compute_equilibrium")
     lo = 0.0
     hi = min(m.m1 / p.alpha, m.m2 / p.beta)
     # defect(0) > 0 and defect(hi) < 0 for positive masses
-    for _ in range(200):
+    for _ in range(2200):
         mid = 0.5 * (lo + hi)
         d = _balance_defect(p, m, mid)
         if d == 0.0:
@@ -236,7 +237,8 @@ def compute_equilibrium(p: ReactionParams, m: MassPair) -> Equilibrium:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-14 or not lo < 0.5 * (lo + hi) < hi:  # doubles past 64 are > 1e-14 apart
+        # relative below 1, so a small c_inf keeps its digits; past 64 doubles are > 1e-14 apart
+        if hi - lo <= 1e-14 * min(hi, 1.0) or not lo < 0.5 * (lo + hi) < hi:
             break
     else:
         raise RuntimeError(

@@ -155,9 +155,40 @@ def reaction_rate(p: ReactionParams, u, v, w):
 _rate = reaction_rate  # the overshoot test's alias: hooks count calls to reaction_rate
 
 
-def _anchor(f: np.ndarray, target: float) -> None:
-    """Put the gap between target and the exact sum of f into f's largest cell."""
-    f[f.argmax()] += target - math.fsum(memoryview(f))  # fsum reads a memoryview fastest
+def _anchor(f: np.ndarray, target: float, total: float | None = None) -> float:
+    """Move f's largest cell by target minus f's exact sum (total, if given); return it."""
+    i = f.argmax()
+    # fsum reads a memoryview fastest
+    f[i] += target - (math.fsum(memoryview(f)) if total is None else total)
+    return f[i]
+
+
+def _row_sums(y: np.ndarray, low: float, parts: np.ndarray) -> list[float]:
+    """math.fsum of each row of y, (3, n) with no NaN and no cell below low >= 0, bit for bit.
+
+    Split (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008) at s = 2^k > 2n*max(y):
+    q = (y + s) - s sums exactly to T, in any order, and r = y - q is exact, with
+    |r| <= s*2^-53, all multiples of ulp(low).  If n*s*2^-53 <= 2^52*ulp(low),
+    R = sum(r) is exact too and T + R rounds once, as fsum does; else R is within
+    e = n^2*s*2^-105 of the r's exact sum, and rounding is monotone, so equal
+    fsum((T, R, -e)) and fsum((T, R, e)) prove the sum.  Other rows, and all rows
+    when 2n*max(y) is outside [2^-900, 2^1000), go to fsum.  parts holds q and r.
+    """
+    n = y.shape[-1]
+    reach = 2 * n * float(y.max())  # a Python float: no numpy overflow warning
+    if not 2.0**-900 <= reach < 2.0**1000:  # never split an infinite row: inf - inf warns
+        return [math.fsum(memoryview(f)) for f in y]
+    s = math.ldexp(1.0, math.frexp(reach)[1])
+    np.subtract(np.add(y, s, out=parts[0]), s, out=parts[0])
+    np.subtract(y, parts[0], out=parts[1])
+    highs, lows = np.add.reduce(parts, axis=-1).tolist()
+    width = s * 2.0**-105 * n  # n*s*2^-105, exact: a power of two times n
+    if width <= math.ulp(low):
+        return [t + r for t, r in zip(highs, lows)]
+    e = n * width
+    below = [math.fsum((t, r, -e)) for t, r in zip(highs, lows)]
+    return [x if x == math.fsum((t, r, e)) else math.fsum(memoryview(f))
+            for f, x, t, r in zip(y, below, highs, lows)]
 
 
 class _Workspace:
@@ -165,18 +196,20 @@ class _Workspace:
 
     Built once per run, it holds the start state's exact weighted sums (the
     re-anchoring targets), nu and the diffusivities d as (3, 1) columns, the
-    exponents as floats, one banded Cholesky factor per dt, and the (3, n)
-    buffers of the reaction update y1, the diffusion result y2 (which holds
-    the right-hand side until the solve returns) and the change test.  An
-    attempt is two substeps, either of which may reject it: _react writes
-    y + dt*nu*R into y1, _diffuse solves y1 into y2.  Only an accepted step
-    is copied out, into a State.  Every re-anchoring is one rule, _anchor.
+    exponents as floats, per dt the banded Cholesky factor, dt*nu and dt*d,
+    and the buffers of the reaction update y1, the diffusion result y2 (which
+    holds the right-hand side until the solve returns), the change test and
+    _row_sums.  An attempt is two substeps, either of which may reject it:
+    _react writes y + dt*nu*R into y1, _diffuse solves y1 into y2.  Only an
+    accepted step is copied out, into a State.  Every re-anchoring is _anchor.
 
     The reaction conserves both weighted sums algebraically, but its cells
     round independently, so _react re-anchors u and v to the start's sums,
-    lest rounding random-walk over a long run.  _diffuse solves the species
-    as one system of 3n rows with uncoupled blocks (bit for bit as three),
-    in increment form, (I - dt*d*L) delta = dt*d*L y1, y2 = y1 + delta: the
+    lest rounding random-walk over a long run.  The anchors use fsum's row
+    sums, which _row_sums gives in a few numpy passes, each proved equal to
+    fsum's bit for bit or taken from fsum.  _diffuse solves the species as
+    one system of 3n rows with uncoupled blocks (bit for bit as three), in
+    increment form, (I - dt*d*L) delta = dt*d*L y1, y2 = y1 + delta: the
     right-hand side vanishes as the field homogenises, so solver rounding
     noise (eps * cond per cell for the direct form) decays with the solution
     instead of putting a ~1e-13 floor under the distance to equilibrium.
@@ -199,45 +232,57 @@ class _Workspace:
         self.d = p.diffusivities[:, None]
         self.alpha, self.beta, self.gamma = float(p.alpha), float(p.beta), float(p.gamma)
         self.anchors = masses_of(p, [math.fsum(f) for f in s0.y.tolist()]).tolist()
-        self._factors: dict[float, np.ndarray] = {}
+        self._factors: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.y1, self.y2, self.change = np.empty((3,) + s0.y.shape)
+        self.parts = np.empty((2,) + s0.y.shape)
 
-    def _factor(self, dt: float) -> np.ndarray:
-        factor = self._factors.get(dt)
-        if factor is None:
+    def _scaled(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(factor, dt*nu, dt*d), built once per dt."""
+        cached = self._factors.get(dt)
+        if cached is None:
             lam = dt * self.d / self.g.dx**2
             ab = np.zeros((2,) + self.y1.shape)  # ab[0, :, 0] stays 0: the blocks do not couple
             ab[0, :, 1:] = -lam
             ab[1] = 1.0 + 2.0 * lam
             ab[1][:, [0, -1]] = 1.0 + lam
-            factor = self._factors[dt] = cholesky_banded(ab.reshape(2, -1))
-        return factor
+            cached = cholesky_banded(ab.reshape(2, -1)), dt * self.nu, dt * self.d
+            self._factors[dt] = cached
+        return cached
+
+    def _factor(self, dt: float) -> np.ndarray:
+        """The banded Cholesky factor of the diffusion system over dt."""
+        return self._scaled(dt)[0]
 
     def _react(self, y: np.ndarray, dt: float) -> bool:
         """Write the reaction update of y into y1; False if it overshoots or goes negative."""
         p, y1 = self.p, self.y1
         r = reaction_rate(p, *y)
-        np.add(y, np.multiply(dt * self.nu, r, out=y1), out=y1)
+        np.add(y, np.multiply(self._scaled(dt)[1], r, out=y1), out=y1)
         # A cell whose rate changes sign was carried past its reaction equilibrium.
         # Tested before re-anchoring, whose rounding-sized gaps flip the sign at
         # equilibrium; NaN and overflow are left to the test below.
         with np.errstate(over="ignore", invalid="ignore"):
             if (r * _rate(p, *y1)).min() < 0.0:
                 return False
-        w_total = math.fsum(memoryview(y1[2]))
+        low = y1.min()
+        if not low >= 0.0:  # written to fail on NaN, which compares false
+            return False
+        u_total, v_total, w_total = _row_sums(y1, low, self.parts)
         m1, m2 = self.anchors
-        _anchor(y1[0], (m1 - self.alpha * w_total) / self.gamma)
-        _anchor(y1[1], (m2 - self.beta * w_total) / self.gamma)
-        return bool(y1.min() >= 0.0)  # written to fail on NaN, which compares false
+        # the test above passed every cell, and anchoring moves only each row's largest
+        u = _anchor(y1[0], (m1 - self.alpha * w_total) / self.gamma, u_total)
+        v = _anchor(y1[1], (m2 - self.beta * w_total) / self.gamma, v_total)
+        return bool(u >= 0.0 and v >= 0.0)
 
     def _diffuse(self, dt: float) -> bool:
         """Write the diffusion of y1 over dt into y2; False if a cell ends negative."""
-        y1, y2, factor = self.y1, self.y2, self._factor(dt)
+        y1, y2, (factor, _, dt_d) = self.y1, self.y2, self._scaled(dt)
         rhs = laplacian_neumann(self.g, y1, out=y2)
-        np.multiply(rhs, dt * self.d, out=rhs)
+        np.multiply(rhs, dt_d, out=rhs)
         delta = cho_solve_banded(factor, rhs.reshape(-1)).reshape(rhs.shape)
         mean = delta.sum(axis=1) / self.g.n_cells  # delta.mean(axis=1), without its wrapper
-        if not np.isfinite(mean).all() and not np.isfinite(rhs).all():
+        # a non-finite mean makes the sum non-finite; a false alarm costs one rhs scan
+        if not math.isfinite(sum(mean.tolist())) and not np.isfinite(rhs).all():
             raise ValueError("diffusion right-hand side must not contain infs or NaNs")
         delta -= mean[:, None]
         np.add(y1, delta, out=y2)

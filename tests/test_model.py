@@ -154,9 +154,9 @@ class TestEquilibrium:
         held = masses_of(p, eq.y)
         assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(held, (m1, m2)))
 
-    @pytest.mark.parametrize("exponents", [
-        (1, 1, 1), (2, 1, 1), (1, 2, 3), (2, 2, 3), (3, 3, 2), (1, 1, 2), (3, 1, 2),
-    ])
+    EXPONENTS = [(1, 1, 1), (2, 1, 1), (1, 2, 3), (2, 2, 3), (3, 3, 2), (1, 1, 2), (3, 1, 2)]
+
+    @pytest.mark.parametrize("exponents", EXPONENTS)
     def test_converges_at_every_mass_scale(self, exponents):
         # past c_inf = 64 adjacent doubles lie over 1e-14 apart, so the bracket
         # must also stop once no double lies strictly inside it
@@ -168,6 +168,22 @@ class TestEquilibrium:
                 assert eq.residual <= budget, (m1, m2)
                 held = masses_of(p, eq.y)
                 assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(held, (m1, m2)))
+
+    @pytest.mark.parametrize("exponents", EXPONENTS)
+    def test_balances_to_relative_precision_at_small_masses(self, exponents):
+        # an absolute stopping width would leave a small c_inf wrong in its leading digits
+        p = ReactionParams(*exponents)
+        for m1 in np.geomspace(1e-6, 1.0, 25):
+            for m2 in (0.5 * m1, m1, 2.0 * m1):
+                eq = compute_equilibrium(p, MassPair(m1, m2))
+                c = stoich_pow(eq.c_inf, p.gamma)
+                defect = stoich_pow(eq.a_inf, p.alpha) * stoich_pow(eq.b_inf, p.beta) - c
+                assert abs(defect) <= 1e-12 * c, (m1, m2)
+
+    def test_tiny_masses_balance_to_relative_precision(self):
+        # c_inf ~ 1e-200 lies 2^332 below the first bracket: over 200 halvings away
+        eq = compute_equilibrium(ReactionParams(1, 1, 1), MassPair(1e-100, 1e-100))
+        assert abs(eq.a_inf * eq.b_inf - eq.c_inf) <= 1e-12 * eq.c_inf
 
     def test_masses_near_the_float_limit_give_a_finite_residual(self):
         for exponents in ((1, 1, 1), (2, 1, 1)):

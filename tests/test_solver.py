@@ -448,6 +448,100 @@ class TestSubsteps:
         assert fell_back >= 10  # the direct solve ran, and its cells were checked
 
 
+class TestRowSums:
+    """_row_sums returns math.fsum's bits for every row, whichever branch proves them."""
+
+    @staticmethod
+    def _row_sums(y):
+        return solver._row_sums(y, y.min(), np.empty((2,) + y.shape))
+
+    @staticmethod
+    def _bits(values):
+        return [float(x).hex() for x in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        exponents=st.tuples(st.integers(-1074, 999), st.integers(0, 2000)),
+        digits=st.sampled_from([53, 3]),  # 3 significant bits put sums on and near ties
+        zeros=st.sampled_from([0.0, 0.5]),
+        special=st.sampled_from(["none", "zero row", "tiny row", "subnormals"]),
+    )
+    def test_equals_fsum_bit_for_bit(self, n, seed, exponents, digits, zeros, special):
+        rng = np.random.default_rng(seed)
+        lowest, span = exponents
+        k = rng.integers(lowest, min(lowest + span, 1000), (3, n), endpoint=True)
+        y = np.ldexp(rng.integers(1, 2**digits, (3, n), endpoint=True) / 2.0**digits, k)
+        y[rng.random((3, n)) < zeros] = 0.0
+        row = rng.integers(3)
+        if special == "zero row":
+            y[row] = 0.0
+        elif special == "tiny row":
+            y[row] *= 1e-12
+        elif special == "subnormals":
+            cells = rng.random((3, n)) < 0.2
+            y[cells] = rng.integers(0, 2**20, cells.sum()) * 2.0**-1074
+        assert self._bits(self._row_sums(y)) == self._bits(math.fsum(f) for f in y)
+
+    @pytest.fixture
+    def branches(self, monkeypatch):
+        """Rows summed by the bracket (two fsum calls on tuples) and by fsum on memoryviews."""
+        counts = {"bracket": 0, "fsum": 0}
+
+        class CountedMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            @staticmethod
+            def fsum(xs):
+                counts["bracket" if isinstance(xs, tuple) else "fsum"] += 1
+                return math.fsum(xs)
+
+        monkeypatch.setattr(solver, "math", CountedMath())
+        return counts
+
+    ROWS = [
+        # row, the branch that sums it, and its fsum
+        ([1.0, 1.0 + 2**-52], "exact", 2.0),  # a tie, settled half-even by T + R
+        ([1.0, 2**-53], "fsum", 1.0),  # a tie the bracket straddles
+        ([1.0, 2**-53, 2**-200, 0.0], "fsum", 1.0 + 2**-52),  # 2**-200 off a tie
+        # 1.5 e/2 off a tie, e = n^2 s 2^-105 = 2^-97 with s = 16: a bracket half as wide,
+        # as from an s one power of two smaller, would settle it
+        ([1.0, 2**-53 + 3 * 2**-99, 0.0, 0.0], "fsum", 1.0 + 2**-52),
+        ([1.0, 2**-53 + 2**-96, 0.0, 0.0], "bracket", 1.0 + 2**-52),  # 2 e off a tie
+        # n s 2^-105 = 2^-99 = 4 ulp(low): an exact case four times as loose would add the
+        # r exactly to 2^-101 and lose that bit, 2^-101 off a tie
+        ([1.0, 2**-49 + 2**-54, 2**-49 + 2**-54, 2**-49 + 2**-101], "fsum", 1.0 + 25 * 2**-52),
+        ([math.inf, 1.0], "unsplit", math.inf),
+        ([math.nan, 1.0], "unsplit", math.nan),
+        ([0.0, 0.0], "unsplit", 0.0),
+        ([2.0**1000, 1.0], "unsplit", 2.0**1000 + 1.0),
+        ([2.0**-1074, 0.0, 2.0**-1074], "unsplit", 2.0**-1073),  # below 2^-900
+        ([2.0**996, 2.0**995], "exact", 3 * 2.0**995),  # s = 2^999, at the top of the range
+    ]
+
+    @pytest.mark.parametrize("row, branch, total", ROWS)
+    def test_hand_built_rows_take_their_branch(self, branches, row, branch, total):
+        y = np.array([row] * 3)
+        assert self._bits(self._row_sums(y)) == self._bits([math.fsum(row)] * 3)
+        assert self._bits([math.fsum(row)]) == self._bits([total])
+        expected = {"exact": (0, 0), "bracket": (6, 0), "fsum": (6, 3), "unsplit": (0, 3)}
+        assert (branches["bracket"], branches["fsum"]) == expected[branch]
+
+    def test_a_zero_row_leaves_the_others_to_the_bracket(self, branches):
+        y = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25], [3.0, 0.0, 1.0]])
+        assert self._bits(self._row_sums(y)) == self._bits(math.fsum(f) for f in y)
+        assert branches == {"bracket": 6, "fsum": 1}
+
+    def test_overflowing_row_raises_as_fsum_does(self):
+        y = np.full((3, 2), 2.0**1023)
+        with pytest.raises(OverflowError):
+            math.fsum(y[0])
+        with pytest.raises(OverflowError):
+            self._row_sums(y)
+
+
 class TestInvariantsProperty:
     @settings(max_examples=60, deadline=None)
     @given(
