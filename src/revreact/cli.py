@@ -68,7 +68,6 @@ CONFIG_KEYS = {
     "seed": (int, None, "random seed for samplers (>= 0)"),
     "n_samples": (int, None, "sample count for verification commands (1 to 2**32 - 1)"),
     "n_grid": (int, None, "grid for the homogeneous-ratio scan (>= 100)"),
-    "floor_delta": (float, None, "sampler cell floor (> 0; default 1e-6*min(m1,m2))"),
     "out": (str, None, "output path for CSV / report"),
 }
 
@@ -83,8 +82,8 @@ COMMAND_KEYS = {
         "simulate": ("dt_init", "dt_min", "safety", "t_end", "record_every", "out"),
         "equilibrium": ("m1", "m2"),
         "scan": ("m1", "m2", "n_grid", "out"),
-        "verify-eed": ("m1", "m2", "n_samples", "seed", "floor_delta", "out"),
-        "verify-ck": ("m1", "m2", "n_samples", "seed", "floor_delta", "out"),
+        "verify-eed": ("m1", "m2", "n_samples", "seed", "out"),
+        "verify-ck": ("m1", "m2", "n_samples", "seed", "out"),
     }.items()
 }
 
@@ -107,16 +106,11 @@ class RunConfig:
     seed: int = 0
     n_samples: int = 1000
     n_grid: int = 2001
-    floor_delta: float | None = None
     out: str | None = None
 
     def __post_init__(self):
-        p = self.params
-        if p.alpha + p.beta != p.gamma and not p.is_normalised:
-            # the commands run the normalised system; rescale_params is library-only
-            key = "ell" if p.ell != 1.0 else "k"
-            raise ValueError(f"{key} must be 1 unless alpha + beta == gamma, "
-                             f"got {getattr(p, key)!r}")
+        # the commands run the normalised system; rescale_params is library-only
+        self.params.require_normalised("the config")
         for key in ("u_profile", "v_profile", "w_profile"):
             if getattr(self, key) not in PROFILES:
                 raise ValueError(f"{key} must be one of {', '.join(PROFILES)}, "
@@ -125,13 +119,11 @@ class RunConfig:
             require(key, getattr(self, key), getattr(self, key) >= 0, ">= 0")
         check_sampling_keys(self.seed, self.n_samples)
         check_n_grid(self.n_grid)
-        if self.floor_delta is not None:
-            require("floor_delta", self.floor_delta, self.floor_delta > 0, "> 0")
 
     def masses(self) -> MassPair:
         """Explicit m1/m2 if given, else derived from the initial profiles."""
         return self.explicit_masses or MassPair(
-            *weighted_masses(self.params, self.grid, self.initial_state())
+            *weighted_masses(self.params, self.initial_state())
         )
 
     def initial_state(self) -> State:
@@ -141,7 +133,7 @@ class RunConfig:
             PROFILES[getattr(self, f"{c}_profile")](getattr(self, f"{c}_amplitude"), x)
             for c in "uvw"
         ))
-        masses = weighted_masses(self.params, self.grid, s)
+        masses = weighted_masses(self.params, s)
         if not all(0 < m < math.inf for m in masses):  # MassPair would blame m1, m2, never set
             raise ValueError(f"u_amplitude, v_amplitude and w_amplitude give initial profiles "
                              f"whose masses (m1, m2) = {masses} are not finite and > 0")
@@ -354,10 +346,7 @@ def cmd_scan(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     estimator = {"verify-eed": estimate_eed_constant, "verify-ck": verify_csiszar_kullback}
-    rep = estimator[args.command](
-        cfg.params, cfg.masses(), cfg.grid, cfg.n_samples,
-        seed=cfg.seed, floor_delta=cfg.floor_delta,
-    )
+    rep = estimator[args.command](cfg.params, cfg.masses(), cfg.grid, cfg.n_samples, seed=cfg.seed)
     return _report(args.command, cfg.out or f"{args.command}-report.txt", rep.min_ratio > 0, [
         ("n_samples", rep.n_samples),
         ("seed", cfg.seed),

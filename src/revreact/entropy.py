@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import xlogy
 
-from .grid import Grid1D, fisher_information, integrate, unstack
+from .grid import fisher_information, integrate, unstack
 from .model import Equilibrium, ReactionParams, masses_of, stoich_pow, weighted_masses
 from .model import compute_equilibrium  # noqa: F401 -- unused here; perfbench/hooks.py wraps it
 
@@ -50,9 +50,9 @@ def _entropy_density(f: np.ndarray) -> np.ndarray:
     return xlogy(f, f) - f
 
 
-def entropy(g: Grid1D, s: "State") -> float:
+def entropy(s: "State") -> float:
     """Boltzmann entropy integral(sum_x x(ln x - 1)) of a state."""
-    return integrate(g, _entropy_density(s.y).sum(axis=-2))
+    return integrate(_entropy_density(s.y).sum(axis=-2))
 
 
 def _species_gap(f: np.ndarray, ref) -> np.ndarray:
@@ -75,11 +75,11 @@ def _species_gap(f: np.ndarray, ref) -> np.ndarray:
     return np.maximum(gap, 0.0)
 
 
-def relative_entropy(g: Grid1D, s: "State", e: Equilibrium) -> float:
+def relative_entropy(s: "State", e: Equilibrium) -> float:
     """Entropy gap of a state relative to the equilibrium; always >= 0."""
     if not np.all(e.y > 0):
         raise ValueError("equilibrium with a zero component")
-    return integrate(g, _species_gap(s.y, e.y[:, None]).sum(axis=-2))
+    return integrate(_species_gap(s.y, e.y[:, None]).sum(axis=-2))
 
 
 def reaction_dissipation_density(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,17 +91,17 @@ def reaction_dissipation_density(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a == b, 0.0, raw)
 
 
-def dissipation(g: Grid1D, p: ReactionParams, s: "State", e: Equilibrium) -> EntropyReport:
+def dissipation(p: ReactionParams, s: "State", e: Equilibrium) -> EntropyReport:
     """Entropy dissipation of a state, split into its four contributions; E_rel is against e."""
     p.require_normalised("dissipation")
-    fu, fv, fw = unstack(fisher_information(g, s.y, p.diffusivities))
+    fu, fv, fw = unstack(fisher_information(s.y, p.diffusivities))
     a = stoich_pow(s.u, p.alpha) * stoich_pow(s.v, p.beta)
     b = stoich_pow(s.w, p.gamma)
     r = reaction_dissipation_density(a, b)
-    reaction = p.rate_factor * integrate(g, r)
+    reaction = p.rate_factor * integrate(r)
     return EntropyReport(
-        E=entropy(g, s),
-        E_rel=relative_entropy(g, s, e),
+        E=entropy(s),
+        E_rel=relative_entropy(s, e),
         D=fu + fv + fw + reaction,
         fisher_u=fu,
         fisher_v=fv,
@@ -110,19 +110,19 @@ def dissipation(g: Grid1D, p: ReactionParams, s: "State", e: Equilibrium) -> Ent
     )
 
 
-def l1_distances(g: Grid1D, s: "State", e: Equilibrium) -> tuple[float, float, float]:
+def l1_distances(s: "State", e: Equilibrium) -> tuple[float, float, float]:
     """L1 distances of (u, v, w) to the equilibrium constants."""
-    return unstack(integrate(g, np.abs(s.y - e.y[:, None])))
+    return unstack(integrate(np.abs(s.y - e.y[:, None])))
 
 
-def ck_gap(g: Grid1D, p: ReactionParams, s: "State", e: Equilibrium) -> tuple[float, float]:
+def ck_gap(p: ReactionParams, s: "State", e: Equilibrium) -> tuple[float, float]:
     """Relative entropy vs. the sum of squared L1 distances to equilibrium.
 
     The Csiszar-Kullback bound asserts lhs >= C * rhs over the conservation
     manifold, so the state (every state of a stack) must carry the same
     masses as the equilibrium, to 1e-10 relative to the equilibrium's.
     """
-    m1_s, m2_s = weighted_masses(p, g, s)
+    m1_s, m2_s = weighted_masses(p, s)
     m1_e, m2_e = masses_of(p, e.y).tolist()
     close = np.isclose(m1_s, m1_e, 1e-10, 0.0) & np.isclose(m2_s, m2_e, 1e-10, 0.0)
     if not np.all(close):
@@ -132,4 +132,4 @@ def ck_gap(g: Grid1D, p: ReactionParams, s: "State", e: Equilibrium) -> tuple[fl
             f"carry the equilibrium's masses ({m1_e}, {m2_e}); the first has "
             f"({np.ravel(m1_s)[i]}, {np.ravel(m2_s)[i]})"
         )
-    return relative_entropy(g, s, e), sum(d * d for d in l1_distances(g, s, e))
+    return relative_entropy(s, e), sum(d * d for d in l1_distances(s, e))

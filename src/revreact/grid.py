@@ -2,9 +2,11 @@
 
 Fields are plain numpy arrays of cell averages.  Initial data given in
 closed form is sampled at cell midpoints, which keeps the discrete masses
-exact for the profiles used here.  The operators act on the last axis, so a
-stack of fields of shape (S, n_cells) is handled in one call; reductions
-return a Python float for one field and an array of S values for a stack.
+exact for the profiles used here.  Code that makes a field takes a Grid1D;
+code that is handed one reads n_cells from its last axis, dx = 1/n_cells.
+The operators act on the last axis, so a stack of fields of shape
+(S, n_cells) is handled in one call; reductions return a Python float for
+one field and an array of S values for a stack.
 """
 
 from __future__ import annotations
@@ -33,13 +35,6 @@ class Grid1D:
         return (np.arange(self.n_cells) + 0.5) * self.dx
 
 
-def _check(g: Grid1D, f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape[-1:] != (g.n_cells,):
-        raise ValueError(f"field length {f.shape} does not match grid ({g.n_cells},)")
-    return f
-
-
 def _reduced(x):
     """A Python float for the reduction of one field, the array for a stack."""
     return float(x) if np.ndim(x) == 0 else x
@@ -50,13 +45,14 @@ def unstack(x) -> tuple:
     return tuple(_reduced(c) for c in np.moveaxis(x, -1, 0))
 
 
-def integrate(g: Grid1D, f: np.ndarray):
+def integrate(f: np.ndarray):
     """Midpoint quadrature: dx * sum(f) over the last axis."""
-    f = _check(g, f)
-    return _reduced(g.dx * f.sum(axis=-1))
+    f = np.asarray(f, dtype=float)
+    dx = 1.0 / f.shape[-1]
+    return _reduced(dx * f.sum(axis=-1))
 
 
-def laplacian_neumann(g: Grid1D, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def laplacian_neumann(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Conservative three-point Laplacian with zero-flux boundary closure.
 
     Interior face flux (f[i+1]-f[i])/dx, zero flux through both boundary
@@ -64,25 +60,27 @@ def laplacian_neumann(g: Grid1D, f: np.ndarray, out: np.ndarray | None = None) -
     integrates to zero (discrete divergence theorem).  It is written into
     `out` when given, an array of f's shape that must not overlap f.
     """
-    f = _check(g, f)
-    flux = (f[..., 1:] - f[..., :-1]) / g.dx  # np.diff(f), without its Python wrapper
+    f = np.asarray(f, dtype=float)
+    dx = 1.0 / f.shape[-1]
+    flux = (f[..., 1:] - f[..., :-1]) / dx  # np.diff(f), without its Python wrapper
     if out is None:
         out = np.empty_like(f)
     out.fill(0.0)
     out[..., :-1] += flux  # adding to zeros, not copying: 0 + (-0.0) is +0.0
     out[..., 1:] -= flux
-    return np.divide(out, g.dx, out=out)
+    return np.divide(out, dx, out=out)
 
 
-def fisher_information(g: Grid1D, f: np.ndarray, d: float = 1.0):
+def fisher_information(f: np.ndarray, d: float = 1.0):
     """Discrete 4*d*integral(|grad sqrt(f)|^2), the Fisher information.
 
     Uses square-root differences across interior faces, so the value stays
     finite where f touches zero (unlike |grad f|^2 / f).
     """
-    f = _check(g, f)
+    f = np.asarray(f, dtype=float)
+    dx = 1.0 / f.shape[-1]
     if np.any(f < 0):
         raise ValueError("fisher_information requires a nonnegative field")
     root = np.sqrt(f)
     jumps = np.diff(root)
-    return _reduced(4.0 * d * np.sum(jumps * jumps, axis=-1) / g.dx)
+    return _reduced(4.0 * d * np.sum(jumps * jumps, axis=-1) / dx)

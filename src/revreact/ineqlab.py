@@ -193,22 +193,21 @@ class _PresetSeed(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _admissible_stack(
-    p: ReactionParams, m: MassPair, g: Grid1D, seeds, floor_delta: float | None
-) -> State:
+def _admissible_stack(p: ReactionParams, m: MassPair, g: Grid1D, seeds) -> State:
     """One admissible sample per seed, stacked as a State of (len(seeds), n) fields.
 
     Each sample is drawn from its own default_rng(seed), where _PresetSeed(_seed_words(s, [i])[0])
     gives the stream of [s, i], in a fixed order: w's mass fraction, then the w, u
-    and v shapes straight into their rows of the stack.  The floor, the rescaling
-    to the conserved masses and the feasibility check then act on the stack.
+    and v shapes straight into their rows of the stack.  The floor default_floor(m),
+    the rescaling to the conserved masses and the feasibility check then act on
+    the stack.
     """
-    delta = default_floor(m) if floor_delta is None else floor_delta
-    if delta <= 0:
-        raise ValueError("floor_delta must be > 0")
+    delta = default_floor(m)
     bound = min(m.m1 / p.alpha, m.m2 / p.beta) - p.gamma * delta
     if bound <= delta:
-        raise ValueError(f"floor_delta={delta} leaves no room for w below {bound}")
+        raise ValueError(f"m1={m.m1!r}, m2={m.m2!r} with alpha={p.alpha!r}, beta={p.beta!r}, "
+                         f"gamma={p.gamma!r} leave no room for w between the sampler's "
+                         f"floor {delta} and {bound}")
     frac = np.empty(len(seeds))
     shapes = np.empty((len(seeds), 3, g.n_cells))  # of u, v, w, drawn in the order w, u, v
     for k, seed in enumerate(seeds):
@@ -220,27 +219,21 @@ def _admissible_stack(
 
     w_mass = delta + frac * (bound - delta)
     w = delta + shapes[:, 2] * (w_mass - delta)[:, None] / means[:, 2:]
-    uv_means = uv_totals(p, np.array([m.m1, m.m2]), integrate(g, w)[:, None])
+    uv_means = uv_totals(p, np.array([m.m1, m.m2]), integrate(w)[:, None])
     if not np.all(uv_means > delta):
-        raise ValueError("infeasible floor_delta for the drawn w mass")
+        raise ValueError("infeasible floor for the drawn w mass")
     uv = delta + shapes[:, :2] * (uv_means - delta)[..., None] / means[:, :2, None]
     return State(0.0, uv[:, 0], uv[:, 1], w)  # the one copy into State.y
 
 
-def sample_admissible(
-    p: ReactionParams,
-    m: MassPair,
-    g: Grid1D,
-    seed,
-    floor_delta: float | None = None,
-) -> State:
+def sample_admissible(p: ReactionParams, m: MassPair, g: Grid1D, seed) -> State:
     """Draw one random strictly positive state at t = 0 with the given masses.
 
     w is a floored random shape scaled to a feasible mass, then u and v are
     floored random shapes rescaled to the means the conservation laws
     dictate.  Both laws hold to rounding by construction.
     """
-    return State(0.0, *_admissible_stack(p, m, g, [seed], floor_delta).y[0])
+    return State(0.0, *_admissible_stack(p, m, g, [seed]).y[0])
 
 
 def _ratio_report(pairs: list[tuple[float, Any]], pick_constant) -> RatioReport:
@@ -269,7 +262,7 @@ def check_sampling_keys(seed, n_samples) -> tuple[int, int]:
     return seed, n_samples
 
 
-def _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, pick_constant):
+def _sampled_report(p, m, g, n_samples, seed, evaluate, pick_constant):
     """Extremal ratios over the samples [seed, i], i < n_samples, CHUNK at a time.
 
     evaluate(stack) returns, per stacked sample, its ratio, whether it is
@@ -284,7 +277,7 @@ def _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, pick_consta
     n_informative = n_uncovered = n_bad = 0
     for start in range(0, n_samples, CHUNK):
         words = _seed_words(seed, np.arange(start, min(start + CHUNK, n_samples)))
-        s = _admissible_stack(p, m, g, [_PresetSeed(row) for row in words], floor_delta)
+        s = _admissible_stack(p, m, g, [_PresetSeed(row) for row in words])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio, informative, uncovered = evaluate(s)
         n_uncovered += int(np.count_nonzero(uncovered))
@@ -315,7 +308,6 @@ def estimate_k2_split(
     n_samples: int,
     k1: float,
     seed: int = 0,
-    floor_delta: float | None = None,
 ) -> RatioReport:
     """Smallest variance coefficient K2 closing the square-root split bound.
 
@@ -338,15 +330,15 @@ def estimate_k2_split(
     def evaluate(s: State):
         root = np.sqrt(s.y)  # U, V, W on the species axis
         U, V, W = np.moveaxis(root, -2, 0)
-        lhs = integrate(g, (root - root_eq) ** 2).sum(axis=-1)
+        lhs = integrate((root - root_eq) ** 2).sum(axis=-1)
         defect = stoich_pow(W, p.gamma) - stoich_pow(U, p.alpha) * stoich_pow(V, p.beta)
-        part1 = integrate(g, defect**2)
-        part2 = integrate(g, (root - integrate(g, root)[..., None]) ** 2).sum(axis=-1)
+        part1 = integrate(defect**2)
+        part2 = integrate((root - integrate(root)[..., None]) ** 2).sum(axis=-1)
         homogeneous = part2 == 0.0
         ratio = np.maximum(0.0, (lhs - k1 * part1) / part2)
         return ratio, ~homogeneous, homogeneous & ~(lhs <= k1 * part1)
 
-    return _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, max)
+    return _sampled_report(p, m, g, n_samples, seed, evaluate, max)
 
 
 def estimate_eed_constant(
@@ -355,7 +347,6 @@ def estimate_eed_constant(
     g: Grid1D,
     n_samples: int,
     seed: int = 0,
-    floor_delta: float | None = None,
 ) -> RatioReport:
     """Minimal observed D / E_rel over admissible samples.
 
@@ -368,10 +359,10 @@ def estimate_eed_constant(
     e = compute_equilibrium(p, m)
 
     def evaluate(s: State):
-        rep = dissipation(g, p, s, e)
+        rep = dissipation(p, s, e)
         return rep.D / rep.E_rel, ~(rep.E_rel < _EREL_CUTOFF), False
 
-    return _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, min)
+    return _sampled_report(p, m, g, n_samples, seed, evaluate, min)
 
 
 def trajectory_eed_constant(traj: Trajectory) -> RatioReport:
@@ -395,7 +386,6 @@ def verify_csiszar_kullback(
     g: Grid1D,
     n_samples: int,
     seed: int = 0,
-    floor_delta: float | None = None,
 ) -> RatioReport:
     """Minimal observed E_rel / (sum of squared L1 distances) over samples.
 
@@ -406,10 +396,10 @@ def verify_csiszar_kullback(
     e = compute_equilibrium(p, m)
 
     def evaluate(s: State):
-        lhs, rhs = ck_gap(g, p, s, e)
+        lhs, rhs = ck_gap(p, s, e)
         return lhs / rhs, ~(lhs < _EREL_CUTOFF) & (rhs != 0.0), False
 
-    return _sampled_report(p, m, g, n_samples, seed, floor_delta, evaluate, min)
+    return _sampled_report(p, m, g, n_samples, seed, evaluate, min)
 
 
 def duality_margin(d_a: float, d_b: float) -> float:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import Grid1D, integrate, unstack
+from .grid import integrate, unstack
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import State
@@ -88,11 +88,6 @@ class ReactionParams:
         return np.array([self.d1, self.d2, self.d3], dtype=float)
 
     @property
-    def is_normalised(self) -> bool:
-        """True when the rate constants are already 1."""
-        return self.ell == 1.0 and self.k == 1.0
-
-    @property
     def rate_factor(self) -> float:
         """Residual multiplier on the normalised reaction rate.
 
@@ -106,12 +101,11 @@ class ReactionParams:
         return 1.0
 
     def require_normalised(self, where: str) -> None:
-        """Raise unless rates are 1 or absorbed into rate_factor."""
-        if self.alpha + self.beta != self.gamma and not self.is_normalised:
-            raise ValueError(
-                f"{where} expects normalised rates ell=k=1; "
-                "apply rescale_params first"
-            )
+        """Raise, naming ell or k, unless rates are 1 or absorbed into rate_factor."""
+        if self.alpha + self.beta != self.gamma and (self.ell, self.k) != (1.0, 1.0):
+            key = "ell" if self.ell != 1.0 else "k"
+            raise ValueError(f"{where} expects normalised rates: {key} must be 1 unless "
+                             f"alpha + beta == gamma, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -137,9 +131,9 @@ def uv_totals(p: ReactionParams, masses, w_total) -> np.ndarray:
     return (masses + p.nu[:2] * w_total) / p.gamma
 
 
-def weighted_masses(p: ReactionParams, g: Grid1D, s: "State"):
+def weighted_masses(p: ReactionParams, s: "State"):
     """The conserved integrals (M1, M2) of a state, or arrays of them for a stack."""
-    return unstack(masses_of(p, integrate(g, s.y)))
+    return unstack(masses_of(p, integrate(s.y)))
 
 
 @dataclass(frozen=True)
@@ -222,6 +216,7 @@ def compute_equilibrium(p: ReactionParams, m: MassPair) -> Equilibrium:
     the right side strictly increasing, so plain bisection cannot fail; it
     stops when the bracket is 1e-14 wide, relative to its upper end below 1,
     or has no double inside: within 2200 halvings, as 2^1024 / 2^-1074 is 2^2098.
+    A c_inf that underflows to 0 raises ValueError naming the masses and exponents.
     """
     p.require_normalised("compute_equilibrium")
     lo = 0.0
@@ -248,6 +243,10 @@ def compute_equilibrium(p: ReactionParams, m: MassPair) -> Equilibrium:
     c = 0.5 * (lo + hi)
     a = (m.m1 - p.alpha * c) / p.gamma
     b = (m.m2 - p.beta * c) / p.gamma
+    if not c > 0.0:  # a or b may round to 0 beside masses far above 1; c only underflows
+        raise ValueError(f"m1={m.m1!r}, m2={m.m2!r} with alpha={p.alpha!r}, beta={p.beta!r}, "
+                         f"gamma={p.gamma!r} give an equilibrium with a zero component: "
+                         f"c_inf underflows to {c!r}")
     return Equilibrium(a_inf=a, b_inf=b, c_inf=c, residual=abs(_balance_defect(p, m, c)))
 
 

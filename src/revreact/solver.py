@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import cholesky_banded, lapack
 
 from .entropy import dissipation, l1_distances
-from .grid import Grid1D, laplacian_neumann
+from .grid import laplacian_neumann
 from .model import (
     Equilibrium,
     MassPair,
@@ -74,10 +74,6 @@ class State:
     u = property(lambda self: self.y[..., 0, :])
     v = property(lambda self: self.y[..., 1, :])
     w = property(lambda self: self.y[..., 2, :])
-
-    @property
-    def grid(self) -> Grid1D:
-        return Grid1D(self.y.shape[-1])
 
     def min_concentration(self) -> float:
         return float(self.y.min())
@@ -155,11 +151,10 @@ def reaction_rate(p: ReactionParams, u, v, w):
 _rate = reaction_rate  # the overshoot test's alias: hooks count calls to reaction_rate
 
 
-def _anchor(f: np.ndarray, target: float, total: float | None = None) -> float:
-    """Move f's largest cell by target minus f's exact sum (total, if given); return it."""
+def _anchor(f: np.ndarray, target: float, total: float) -> float:
+    """Move f's largest cell by target minus total, f's exact sum; return it."""
     i = f.argmax()
-    # fsum reads a memoryview fastest
-    f[i] += target - (math.fsum(memoryview(f)) if total is None else total)
+    f[i] += target - total
     return f[i]
 
 
@@ -227,7 +222,6 @@ class _Workspace:
 
     def __init__(self, p: ReactionParams, s0: State):
         self.p = p
-        self.g = s0.grid
         self.nu = p.nu[:, None]
         self.d = p.diffusivities[:, None]
         self.alpha, self.beta, self.gamma = float(p.alpha), float(p.beta), float(p.gamma)
@@ -240,7 +234,8 @@ class _Workspace:
         """(factor, dt*nu, dt*d), built once per dt."""
         cached = self._factors.get(dt)
         if cached is None:
-            lam = dt * self.d / self.g.dx**2
+            dx = 1.0 / self.y1.shape[-1]
+            lam = dt * self.d / dx**2
             ab = np.zeros((2,) + self.y1.shape)  # ab[0, :, 0] stays 0: the blocks do not couple
             ab[0, :, 1:] = -lam
             ab[1] = 1.0 + 2.0 * lam
@@ -248,10 +243,6 @@ class _Workspace:
             cached = cholesky_banded(ab.reshape(2, -1)), dt * self.nu, dt * self.d
             self._factors[dt] = cached
         return cached
-
-    def _factor(self, dt: float) -> np.ndarray:
-        """The banded Cholesky factor of the diffusion system over dt."""
-        return self._scaled(dt)[0]
 
     def _react(self, y: np.ndarray, dt: float) -> bool:
         """Write the reaction update of y into y1; False if it overshoots or goes negative."""
@@ -277,10 +268,11 @@ class _Workspace:
     def _diffuse(self, dt: float) -> bool:
         """Write the diffusion of y1 over dt into y2; False if a cell ends negative."""
         y1, y2, (factor, _, dt_d) = self.y1, self.y2, self._scaled(dt)
-        rhs = laplacian_neumann(self.g, y1, out=y2)
+        rhs = laplacian_neumann(y1, out=y2)
         np.multiply(rhs, dt_d, out=rhs)
         delta = cho_solve_banded(factor, rhs.reshape(-1)).reshape(rhs.shape)
-        mean = delta.sum(axis=1) / self.g.n_cells  # delta.mean(axis=1), without its wrapper
+        n = y1.shape[-1]
+        mean = delta.sum(axis=1) / n  # delta.mean(axis=1), without its wrapper
         # a non-finite mean makes the sum non-finite; a false alarm costs one rhs scan
         if not math.isfinite(sum(mean.tolist())) and not np.isfinite(rhs).all():
             raise ValueError("diffusion right-hand side must not contain infs or NaNs")
@@ -289,13 +281,14 @@ class _Workspace:
         if y2.min() >= 0.0:
             return True
         fell_back = np.flatnonzero(~(y2.min(axis=1) >= 0.0))
-        lo, hi, n = fell_back[0], fell_back[-1] + 1, self.g.n_cells
+        lo, hi = fell_back[0], fell_back[-1] + 1
         # those blocks' columns of the factor are their factor; y1 is finite, as L y1 was
         direct = cho_solve_banded(factor[:, lo * n:hi * n], y1[lo:hi].reshape(-1))
         for f, out, x in zip(y1[lo:hi], y2[lo:hi], direct.reshape(hi - lo, n)):
             if not (out.min() >= 0.0):
                 out[:] = x
-                _anchor(out, math.fsum(memoryview(f)))
+                # fsum reads a memoryview fastest
+                _anchor(out, math.fsum(memoryview(f)), math.fsum(memoryview(out)))
         return bool(y2.min() >= 0.0)
 
     def attempt(self, s: State, dt: float, safety: float) -> State | None:
@@ -319,18 +312,12 @@ def cho_solve_banded(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lapack.dpbtrs(factor, b)[0]
 
 
-def _diagnostics(
-    g: Grid1D,
-    p: ReactionParams,
-    s: State,
-    e: Equilibrium,
-    dt: float,
-) -> DiagnosticsRow:
-    mass1, mass2 = weighted_masses(p, g, s)
+def _diagnostics(p: ReactionParams, s: State, e: Equilibrium, dt: float) -> DiagnosticsRow:
+    mass1, mass2 = weighted_masses(p, s)
     return DiagnosticsRow(
         t=s.t, dt=dt, mass1=mass1, mass2=mass2,
-        **vars(dissipation(g, p, s, e)),  # every EntropyReport field is a column
-        **dict(zip(("l1_u", "l1_v", "l1_w"), l1_distances(g, s, e))),
+        **vars(dissipation(p, s, e)),  # every EntropyReport field is a column
+        **dict(zip(("l1_u", "l1_v", "l1_w"), l1_distances(s, e))),
         min_conc=s.min_concentration(),
     )
 
@@ -343,6 +330,8 @@ def steps(p: ReactionParams, s0: State, cfg: StepConfig) -> Iterator[tuple[State
     first step; StepUnderflowError is raised when halving reaches dt_min.
     """
     p.require_normalised("run")
+    n = s0.y.shape[-1]
+    require("n_cells", n, n >= 2, "an integer >= 2")  # Grid1D's rule, on the start's last axis
     if not np.isfinite(s0.y).all():
         raise ValueError("initial state has non-finite cells")
     if s0.min_concentration() < 0:
@@ -384,17 +373,16 @@ def run(p: ReactionParams, s0: State, cfg: StepConfig) -> Trajectory:
     and at the final time; the final state is kept, no other.
     """
     accepted_steps = steps(p, s0, cfg)  # checks the start before anything else
-    g = s0.grid
-    m = MassPair(*weighted_masses(p, g, s0))
+    m = MassPair(*weighted_masses(p, s0))
     eq = compute_equilibrium(p, m)
-    rows = [_diagnostics(g, p, s0, eq, 0.0)]
+    rows = [_diagnostics(p, s0, eq, 0.0)]
     s, dt, recorded_last = s0, 0.0, True
     for accepted, (s, dt) in enumerate(accepted_steps, start=1):
         recorded_last = accepted % cfg.record_every == 0
         if recorded_last:
-            rows.append(_diagnostics(g, p, s, eq, dt))
+            rows.append(_diagnostics(p, s, eq, dt))
     if not recorded_last:
-        rows.append(_diagnostics(g, p, s, eq, dt))
+        rows.append(_diagnostics(p, s, eq, dt))
     return Trajectory(masses=m, equilibrium=eq, rows=rows, final=s)
 
 

@@ -162,9 +162,9 @@ def test_criterion_09_csiszar_kullback():
     worst_margin = math.inf
     for i in range(1000):
         y = rr.sample_admissible(p, m, g, [2024, i]).y
-        ybar = integrate(g, y)[:, None]
-        lhs = integrate(g, _species_gap(y, ybar))  # each species' entropy vs its mean
-        rhs = integrate(g, np.abs(y - ybar)) ** 2 / (2.0 * ybar[:, 0])
+        ybar = integrate(y)[:, None]
+        lhs = integrate(_species_gap(y, ybar))  # each species' entropy vs its mean
+        rhs = integrate(np.abs(y - ybar)) ** 2 / (2.0 * ybar[:, 0])
         worst_margin = min(worst_margin, (lhs - rhs).min())
         ok &= bool(np.all(lhs >= rhs))
     report(9, "Csiszar-Kullback", ok,
@@ -230,8 +230,8 @@ def test_criterion_13_grid_convergence():
         g = Grid1D(n)
         x = g.cell_centers()
         f = np.cos(np.pi * x)
-        lap_err[n] = np.max(np.abs(laplacian_neumann(g, f) + np.pi**2 * f))
-        fisher_err[n] = abs(fisher_information(g, 2.0 + np.cos(np.pi * x)) - fisher_exact)
+        lap_err[n] = np.max(np.abs(laplacian_neumann(f) + np.pi**2 * f))
+        fisher_err[n] = abs(fisher_information(2.0 + np.cos(np.pi * x)) - fisher_exact)
     lap_ratio = lap_err[200] / lap_err[400]
     fisher_ratio = fisher_err[200] / fisher_err[400]
     ok = lap_ratio >= 3.5 and fisher_ratio >= 3.5

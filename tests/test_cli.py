@@ -131,6 +131,16 @@ class TestBoundary:
         with pytest.raises(ConfigError, match="unknown key 'k1'"):
             parse_config("k1 = 1\n")
 
+    def test_removed_floor_delta_key_and_flag_exit_2(self, tmp_path, capsys):
+        # the sampler's floor is always default_floor(m)
+        conf = _write(tmp_path, "floor_delta = 1e-3\n")
+        assert main(["verify-eed", "--config", str(conf)]) == 2
+        assert "unknown key 'floor_delta'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-eed", "--floor-delta", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --floor-delta" in capsys.readouterr().err
+
     def test_masses_are_set_together(self):
         with pytest.raises(ConfigError, match="m1 and m2 must be set together"):
             parse_config("m1 = 2\n", "equilibrium")
@@ -167,6 +177,15 @@ class TestBoundary:
         assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_underflowing_equilibrium_names_its_keys(self, tmp_path, capsys):
+        # (3, 3, 1) at u = v = 1e-100: the equilibrium's c_inf underflows to 0
+        conf = _write(tmp_path, "alpha = 3\nbeta = 3\nn_cells = 8\nu_amplitude = 1e-100\n"
+                                "v_amplitude = 1e-100\nt_end = 0.01\n")
+        assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert all(f"{key}=" in err for key in ("m1", "m2", "alpha", "beta", "gamma"))
+        assert "with a zero component" in err and not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "equilibrium"])
     def test_overflowing_profile_masses_name_the_amplitudes(self, tmp_path, capsys, command):
@@ -250,7 +269,7 @@ _VALID = {
     "u_amplitude": ("1", "0.5"), "v_amplitude": ("1", "2"), "w_amplitude": ("0.5", "0.25"),
     "dt_init": ("1e-2", "1e-3"), "dt_min": ("1e-12", "1e-4"), "safety": ("0.2", "1"),
     "t_end": ("0.01", "0.05"), "record_every": ("1", "5"), "seed": ("0", "7"),
-    "n_samples": ("5", "20"), "n_grid": ("100", "150"), "floor_delta": ("1e-6", "0.01"),
+    "n_samples": ("5", "20"), "n_grid": ("100", "150"),
     "out": ("report.txt", "other.txt"),
 }
 _INVALID = ("0", "-1", "nan", "inf", "-inf", "1e308", "many")
@@ -348,11 +367,10 @@ class TestFlags:
 class TestProfiles:
     def test_profile_means_match_amplitudes(self):
         cfg = parse_config(REFERENCE_CONFIG)
-        g = cfg.grid
         s = cfg.initial_state()
-        assert integrate(g, s.u) == pytest.approx(2.0, rel=1e-13)
-        assert integrate(g, s.v) == pytest.approx(2.0, rel=1e-13)
-        assert integrate(g, s.w) == 0.0
+        assert integrate(s.u) == pytest.approx(2.0, rel=1e-13)
+        assert integrate(s.v) == pytest.approx(2.0, rel=1e-13)
+        assert integrate(s.w) == 0.0
 
     def test_two_blocks(self):
         cfg = parse_config("u_profile = two-blocks\nu_amplitude = 1.5\nn_cells = 10\n")
@@ -570,14 +588,17 @@ class TestMain:
         assert "alpha must be >= 1" in capsys.readouterr().err
 
     def test_domain_error_exit_code(self, tmp_path, capsys):
-        # infeasible sampler floor is a domain error, not a usage error
+        # no room above the sampler's floor is a domain error, not a usage error;
+        # the equilibrium of these inputs exists, so the sampler is what fails
         code = main([
-            "verify-eed", "--m1", "2", "--m2", "2", "--n-samples", "5",
+            "verify-eed", "--alpha", "2e6", "--m1", "2", "--m2", "2", "--n-samples", "5",
             "--n-cells", "16", "--out", str(tmp_path / "r.txt"),
-            "--config", str(_write(tmp_path, "floor_delta = 1.5\n")),
         ])
         assert code == 1
-        assert "floor_delta" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "m1=2.0, m2=2.0 with alpha=2000000.0, beta=1.0, gamma=1.0" in err
+        assert "leave no room for w" in err
+        assert not (tmp_path / "r.txt").exists()
 
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent/x.conf"]) == 2

@@ -82,8 +82,8 @@ class TestSampler:
         s2 = sample_admissible(P111, M22, g, seed=42)
         np.testing.assert_array_equal(s1.u, s2.u)
         np.testing.assert_array_equal(s1.w, s2.w)
-        m1 = integrate(g, s1.u) + integrate(g, s1.w)
-        m2 = integrate(g, s1.v) + integrate(g, s1.w)
+        m1 = integrate(s1.u) + integrate(s1.w)
+        m2 = integrate(s1.v) + integrate(s1.w)
         assert abs(m1 - 2) <= 1e-13 * 2
         assert abs(m2 - 2) <= 1e-13 * 2
 
@@ -100,26 +100,31 @@ class TestSampler:
         worst = 0.0
         for i in range(200):
             s = sample_admissible(p, m, g, seed=[5, i])
-            e1 = abs(p.gamma * integrate(g, s.u) + p.alpha * integrate(g, s.w) - m.m1)
-            e2 = abs(p.gamma * integrate(g, s.v) + p.beta * integrate(g, s.w) - m.m2)
+            e1 = abs(p.gamma * integrate(s.u) + p.alpha * integrate(s.w) - m.m1)
+            e2 = abs(p.gamma * integrate(s.v) + p.beta * integrate(s.w) - m.m2)
             worst = max(worst, e1 / m.m1, e2 / m.m2)
         assert worst < 1e-12
 
     def test_floor_respected(self):
         g = Grid1D(50)
-        s = sample_admissible(P111, M22, g, seed=3, floor_delta=1e-3)
-        assert min(s.u.min(), s.v.min(), s.w.min()) >= 1e-3
+        s = sample_admissible(P111, M22, g, seed=3)
+        assert min(s.u.min(), s.v.min(), s.w.min()) >= default_floor(M22)
 
     def test_infeasible_floor(self):
-        with pytest.raises(ValueError):
-            sample_admissible(P111, M22, Grid1D(16), seed=0, floor_delta=1.5)
+        # the equilibrium exists, but m1/alpha leaves w no room above the floor
+        p = ReactionParams(2e6, 1, 1)
+        compute_equilibrium(p, M22)
+        with pytest.raises(ValueError, match=re.escape(
+            "m1=2, m2=2 with alpha=2000000.0, beta=1, gamma=1 leave no room for w"
+        )):
+            sample_admissible(p, M22, Grid1D(16), seed=0)
 
     def test_sample_is_a_state_at_t_zero_equal_to_its_stack_row(self):
         p, m, g = ReactionParams(1, 2, 3), MassPair(4, 3), Grid1D(24)
         s = sample_admissible(p, m, g, [7, 3])
         assert type(s) is State
         assert s.t == 0.0
-        np.testing.assert_array_equal(s.y, _admissible_stack(p, m, g, [[7, 3]], None).y[0])
+        np.testing.assert_array_equal(s.y, _admissible_stack(p, m, g, [[7, 3]]).y[0])
 
 
     def test_seed_may_be_a_list_or_its_seed_sequence(self):
@@ -165,7 +170,7 @@ def _drawn_the_old_way(p, m, g, seed, seen):
     bound = min(m.m1 / p.alpha, m.m2 / p.beta) - p.gamma * delta
     w_mass = delta + frac * (bound - delta)
     w = delta + shapes[2] * (w_mass - delta) / shapes[2].mean()
-    uv_means = uv_totals(p, np.array([m.m1, m.m2]), integrate(g, w))
+    uv_means = uv_totals(p, np.array([m.m1, m.m2]), integrate(w))
     u, v = (delta + shapes[j] * (uv_means[j] - delta) / shapes[j].mean() for j in (0, 1))
     return np.stack([u, v, w])
 
@@ -175,22 +180,23 @@ class TestSamplerStream:
 
     P, M = ReactionParams(1, 2, 3), MassPair(4, 3)
     SEEDS = [[2024, i] for i in range(300)]
-    # sha256 of the stacked fields, recorded before the shapes were drawn in place
+    # sha256 of the stacked fields: 64 cells recorded before the shapes were drawn
+    # in place, 2 cells at the commit before the sampler lost its floor argument
     STACK_SHA256 = {
-        (64, None): "1e5c25e75f7e3787e3506978a80060ac33e44e17f5c8974b32fff3d840732dd8",
-        (2, 1e-3): "45b6082f200696a3795e0a047162444afdfd65f8bdb15c85bedd0af936a68ef8",
+        64: "1e5c25e75f7e3787e3506978a80060ac33e44e17f5c8974b32fff3d840732dd8",
+        2: "b458f840864afd2412b6eefb60177452927effe1a84c00cf00c00aec397751cf",
     }
 
-    @pytest.mark.parametrize("n_cells,floor_delta", STACK_SHA256)
-    def test_stack_digest_is_pinned(self, n_cells, floor_delta):
-        y = _admissible_stack(self.P, self.M, Grid1D(n_cells), self.SEEDS, floor_delta).y
+    @pytest.mark.parametrize("n_cells", STACK_SHA256)
+    def test_stack_digest_is_pinned(self, n_cells):
+        y = _admissible_stack(self.P, self.M, Grid1D(n_cells), self.SEEDS).y
         digest = hashlib.sha256(y.tobytes()).hexdigest()
-        assert digest == self.STACK_SHA256[n_cells, floor_delta]
+        assert digest == self.STACK_SHA256[n_cells]
 
     def test_rows_equal_the_plain_draws_byte_for_byte(self):
         g, seen = Grid1D(64), set()
         seeds = self.SEEDS[:4]
-        stack = _admissible_stack(self.P, self.M, g, seeds, None).y
+        stack = _admissible_stack(self.P, self.M, g, seeds).y
         for k, seed in enumerate(seeds):
             assert stack[k].tobytes() == _drawn_the_old_way(self.P, self.M, g, seed, seen).tobytes()
         assert {0, 1, 2, (1, True)} <= seen  # every kind, and a window drawn descending
@@ -234,8 +240,8 @@ class TestSeedWords:
             drawn.append(s.y.copy())
             return np.ones(len(s.y)), np.ones(len(s.y), bool), False
 
-        _sampled_report(self.P, self.M, self.G, n, seed, None, evaluate, min)
-        expected = _admissible_stack(self.P, self.M, self.G, [[seed, i] for i in range(n)], None)
+        _sampled_report(self.P, self.M, self.G, n, seed, evaluate, min)
+        expected = _admissible_stack(self.P, self.M, self.G, [[seed, i] for i in range(n)])
         assert [len(y) for y in drawn] == [CHUNK, CHUNK, n - 2 * CHUNK]
         assert np.concatenate(drawn).tobytes() == expected.y.tobytes()
 
@@ -340,10 +346,10 @@ def _k2_ratio(p, m, g, s, k1):
     e = compute_equilibrium(p, m)
     A, B, C = math.sqrt(e.a_inf), math.sqrt(e.b_inf), math.sqrt(e.c_inf)
     U, V, W = np.sqrt(s.u), np.sqrt(s.v), np.sqrt(s.w)
-    lhs = integrate(g, (U - A) ** 2) + integrate(g, (V - B) ** 2) + integrate(g, (W - C) ** 2)
+    lhs = integrate((U - A) ** 2) + integrate((V - B) ** 2) + integrate((W - C) ** 2)
     defect = stoich_pow(W, p.gamma) - stoich_pow(U, p.alpha) * stoich_pow(V, p.beta)
-    part1 = integrate(g, defect**2)
-    part2 = sum(integrate(g, (F - integrate(g, F)) ** 2) for F in (U, V, W))
+    part1 = integrate(defect**2)
+    part2 = sum(integrate((F - integrate(F)) ** 2) for F in (U, V, W))
     if part2 == 0.0:
         return "skipped" if lhs <= k1 * part1 else "uncovered"
     return max(0.0, (lhs - k1 * part1) / part2)
@@ -391,11 +397,11 @@ class TestChunkBoundary:
         e = compute_equilibrium(p, m)
 
         def eed(s):
-            rep = dissipation(g, p, s, e)
+            rep = dissipation(p, s, e)
             return "skipped" if rep.E_rel < 1e-12 else rep.D / rep.E_rel
 
         def ck(s):
-            lhs, rhs = ck_gap(g, p, s, e)
+            lhs, rhs = ck_gap(p, s, e)
             return "skipped" if lhs < 1e-12 or rhs == 0.0 else lhs / rhs
 
         self._assert_matches(
@@ -418,8 +424,8 @@ class TestCsiszarKullback:
     def test_homogeneous_sample_matches_direct_evaluation(self):
         g = Grid1D(32)
         s = State(0.0, np.full(32, 1.1), np.full(32, 1.1), np.full(32, 0.9))
-        e = compute_equilibrium(P111, MassPair(*weighted_masses(P111, g, s)))
-        rep = dissipation(g, P111, s, e)
+        e = compute_equilibrium(P111, MassPair(*weighted_masses(P111, s)))
+        rep = dissipation(P111, s, e)
         # lhs from the report, rhs by hand: three L1 distances of 0.1
         assert rep.E_rel / 0.03 == pytest.approx(0.49526438258236737, rel=1e-10)
 
@@ -487,5 +493,5 @@ def test_split_bound_parts_are_nonnegative():
     s = sample_admissible(p, m, g, seed=1)
     U, V, W = np.sqrt(s.u), np.sqrt(s.v), np.sqrt(s.w)
     defect = stoich_pow(W, p.gamma) - stoich_pow(U, p.alpha) * stoich_pow(V, p.beta)
-    assert integrate(g, defect**2) >= 0.0
-    assert integrate(g, (U - integrate(g, U)) ** 2) >= 0.0
+    assert integrate(defect**2) >= 0.0
+    assert integrate((U - integrate(U)) ** 2) >= 0.0

@@ -185,6 +185,13 @@ class TestEquilibrium:
         eq = compute_equilibrium(ReactionParams(1, 1, 1), MassPair(1e-100, 1e-100))
         assert abs(eq.a_inf * eq.b_inf - eq.c_inf) <= 1e-12 * eq.c_inf
 
+    def test_underflowing_equilibrium_names_masses_and_exponents(self):
+        # c = a^3 b^3 ~ 1e-600 has no positive double: c_inf would be 0.0
+        with pytest.raises(ValueError, match=re.escape(
+            "m1=1e-100, m2=1e-100 with alpha=3, beta=3, gamma=1 give an equilibrium"
+        )):
+            compute_equilibrium(ReactionParams(3, 3, 1), MassPair(1e-100, 1e-100))
+
     def test_masses_near_the_float_limit_give_a_finite_residual(self):
         for exponents in ((1, 1, 1), (2, 1, 1)):
             eq = compute_equilibrium(ReactionParams(*exponents), MassPair(1e300, 1e300))

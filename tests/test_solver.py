@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from revreact import solver
 from revreact.cli import validate_rows
@@ -59,7 +59,6 @@ class TestStateLayout:
         s = State(0.5, u, v, w)
         assert s.y.shape == (3, 5)
         np.testing.assert_array_equal(s.y, [u, v, w])
-        assert s.grid == Grid1D(5)
 
     def test_stack_of_fields_is_s_by_3_by_n(self):
         fields = np.random.default_rng(1).uniform(0, 1, (3, 4, 6))
@@ -140,15 +139,14 @@ class TestStepImex:
         # dt small enough that the rough random field passes the change cap;
         # the cancellation property itself is dt-independent
         p = ReactionParams(2, 1, 3, d1=0.5, d2=1.5, d3=2.5)
-        g = Grid1D(100)
         rng = np.random.default_rng(23)
         s = State(0.0, rng.uniform(0.1, 2, 100), rng.uniform(0.1, 2, 100), rng.uniform(0.1, 2, 100))
-        m1 = p.gamma * integrate(g, s.u) + p.alpha * integrate(g, s.w)
-        m2 = p.gamma * integrate(g, s.v) + p.beta * integrate(g, s.w)
+        m1 = p.gamma * integrate(s.u) + p.alpha * integrate(s.w)
+        m2 = p.gamma * integrate(s.v) + p.beta * integrate(s.w)
         out = step_imex(p, s, 1e-8)
         assert out is not None
-        m1_new = p.gamma * integrate(g, out.u) + p.alpha * integrate(g, out.w)
-        m2_new = p.gamma * integrate(g, out.v) + p.beta * integrate(g, out.w)
+        m1_new = p.gamma * integrate(out.u) + p.alpha * integrate(out.w)
+        m2_new = p.gamma * integrate(out.v) + p.beta * integrate(out.w)
         assert abs(m1_new - m1) <= 1e-13 * m1
         assert abs(m2_new - m2) <= 1e-13 * m2
 
@@ -186,7 +184,7 @@ class TestDiffusionSolve:
         for d in self.DIFFUSIVITIES:
             workspace = self._workspace(n, d)
             for dt in self.DTS:
-                factor = workspace._factor(dt)
+                factor = workspace._scaled(dt)[0]
                 for b in (rng.uniform(-1, 1, 3 * n), 10.0 ** rng.uniform(-300, 6, 3 * n)):
                     expected = scipy.linalg.cho_solve_banded((factor, False), b)
                     assert solver.cho_solve_banded(factor, b).tobytes() == expected.tobytes()
@@ -208,7 +206,7 @@ class TestDiffusionSolve:
                     ab[1] = 1.0 + 2.0 * lam
                     ab[1, [0, -1]] = 1.0 + lam
                     species.append(scipy.linalg.cholesky_banded(ab))
-                factor = workspace._factor(dt)
+                factor = workspace._scaled(dt)[0]
                 assert factor.tobytes() == np.concatenate(species, axis=1).tobytes()
                 b = rng.uniform(-1, 1, (3, n))
                 each = [solver.cho_solve_banded(f, row) for f, row in zip(species, b)]
@@ -244,6 +242,11 @@ class TestRun:
         for start in (run, steps):
             with pytest.raises(ValueError, match="run expects normalised rates"):
                 start(p, homogeneous_state(8, 1, 1, 1), StepConfig(t_end=0.01))
+
+    def test_rejects_a_one_cell_start_naming_n_cells(self):
+        for start in (run, steps):
+            with pytest.raises(ValueError, match="n_cells must be an integer >= 2, got 1"):
+                start(ReactionParams(1, 1, 1), homogeneous_state(1, 1, 1, 1), StepConfig(t_end=0.01))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_initial_state(self, bad):
@@ -417,15 +420,20 @@ class TestSubsteps:
         workspace.y1[:] = y1
         ok = workspace._diffuse(dt)
         for before, after in zip(y1, workspace.y2):
-            # a few roundings of the cells and of their changes; the direct solve alone is
-            # further off, so this also checks that a fallback row is re-anchored
-            rounding = 4 * np.finfo(float).eps * math.fsum(before + np.abs(after - before))
+            # a few roundings of the cells and of their changes, each relative or, below
+            # the normal range, up to ulp(0.0) (the standard model's underflow term); the
+            # direct solve alone is further off, so this also checks that a fallback row
+            # is re-anchored
+            rounding = (4 * np.finfo(float).eps * math.fsum(before + np.abs(after - before))
+                        + 4 * len(before) * math.ulp(0.0))
             assert abs(math.fsum(after) - math.fsum(before)) <= rounding
         if ok:
             assert workspace.y2.min() >= 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(d=st.tuples(*[st.floats(1e-2, 10.0)] * 3), cells=PROFILES, dt=st.floats(1e-8, 1.0))
+    # one subnormal cell in w: its row sum moves by 4 * ulp(0.0), where 4 * eps * sum is 0
+    @example(d=(1.0, 1.0, 1.0), cells=[0.0] * 24 + [2.225073858507e-311] + [0.0] * 11, dt=1.0)
     def test_diffuse_keeps_each_row_sum(self, d, cells, dt):
         self._diffused(ReactionParams(d1=d[0], d2=d[1], d3=d[2]), np.reshape(cells, (3, 12)), dt)
 
@@ -553,14 +561,14 @@ class TestInvariantsProperty:
         self, exponents, d, cells
     ):
         p = ReactionParams(*exponents, d1=d[0], d2=d[1], d3=d[2])
-        g, s0 = Grid1D(12), State(0.0, *np.reshape(cells, (3, 12)))
-        masses, prev_E = weighted_masses(p, g, s0), entropy(g, s0)
+        s0 = State(0.0, *np.reshape(cells, (3, 12)))
+        masses, prev_E = weighted_masses(p, s0), entropy(s0)
         s = s0
         for s, _ in steps(p, s0, StepConfig(dt_init=1e-3, t_end=0.02)):
-            for m, m0 in zip(weighted_masses(p, g, s), masses):
+            for m, m0 in zip(weighted_masses(p, s), masses):
                 assert abs(m - m0) <= 1e-11 * abs(m0)
             assert s.min_concentration() >= 0.0
-            E = entropy(g, s)
+            E = entropy(s)
             assert E <= prev_E + 1e-10 * (1.0 + abs(prev_E))  # validate_rows' tolerance
             prev_E = E
         assert s.t == pytest.approx(0.02)
