@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import cholesky_banded, lapack
 
 from .entropy import dissipation, l1_distances
-from .grid import laplacian_neumann
+from .grid import _reduced, laplacian_neumann
 from .model import (
     Equilibrium,
     MassPair,
@@ -67,16 +67,17 @@ class State:
         if not (u.shape == v.shape == w.shape):
             raise ValueError("u, v, w must share one grid")
         object.__setattr__(self, "t", t)
-        # what np.stack(axis=-2) does, at half its call overhead (once per step)
-        rows = [f[..., None, :] for f in (u, v, w)]
-        object.__setattr__(self, "y", np.concatenate(rows, axis=-2))
+        # one copy; np.array of one state's rows costs half np.stack's call (once per step)
+        fields = (u, v, w)
+        object.__setattr__(self, "y", np.array(fields) if u.ndim == 1 else np.stack(fields, -2))
 
     u = property(lambda self: self.y[..., 0, :])
     v = property(lambda self: self.y[..., 1, :])
     w = property(lambda self: self.y[..., 2, :])
 
-    def min_concentration(self) -> float:
-        return float(self.y.min())
+    def min_concentration(self):
+        """The smallest cell: a float for one state, an array of one per state for a stack."""
+        return _reduced(self.y.min(axis=(-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -149,17 +150,17 @@ def reaction_rate(p: ReactionParams, u, v, w):
 
 
 _rate = reaction_rate  # the overshoot test's alias: hooks count calls to reaction_rate
+_State = State  # the diagnostics stack's alias: hooks count calls to State
 
 
-def _anchor(f: np.ndarray, target: float, total: float) -> float:
-    """Move f's largest cell by target minus total, f's exact sum; return it."""
-    i = f.argmax()
+def _anchor(f: np.ndarray, i: int, target: float, total: float) -> float:
+    """Move f's largest cell, f[i], by target minus total, f's exact sum; return it."""
     f[i] += target - total
     return f[i]
 
 
-def _row_sums(y: np.ndarray, low: float, parts: np.ndarray) -> list[float]:
-    """math.fsum of each row of y, (3, n) with no NaN and no cell below low >= 0, bit for bit.
+def _row_sums(y: np.ndarray, low: float, high: float, parts: np.ndarray) -> list[float]:
+    """math.fsum of each row of y, (3, n) with no NaN, cells in [low >= 0, high], bit for bit.
 
     Split (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008) at s = 2^k > 2n*max(y):
     q = (y + s) - s sums exactly to T, in any order, and r = y - q is exact, with
@@ -170,7 +171,7 @@ def _row_sums(y: np.ndarray, low: float, parts: np.ndarray) -> list[float]:
     when 2n*max(y) is outside [2^-900, 2^1000), go to fsum.  parts holds q and r.
     """
     n = y.shape[-1]
-    reach = 2 * n * float(y.max())  # a Python float: no numpy overflow warning
+    reach = 2 * n * high  # a Python float: no numpy overflow warning
     if not 2.0**-900 <= reach < 2.0**1000:  # never split an infinite row: inf - inf warns
         return [math.fsum(memoryview(f)) for f in y]
     s = math.ldexp(1.0, math.frexp(reach)[1])
@@ -202,8 +203,9 @@ class _Workspace:
     round independently, so _react re-anchors u and v to the start's sums,
     lest rounding random-walk over a long run.  The anchors use fsum's row
     sums, which _row_sums gives in a few numpy passes, each proved equal to
-    fsum's bit for bit or taken from fsum.  _diffuse solves the species as
-    one system of 3n rows with uncoupled blocks (bit for bit as three), in
+    fsum's bit for bit or taken from fsum, and one argmax per row bounds
+    them and picks the cells to move.  _diffuse solves the species as one
+    system of 3n rows with uncoupled blocks (bit for bit as three), in
     increment form, (I - dt*d*L) delta = dt*d*L y1, y2 = y1 + delta: the
     right-hand side vanishes as the field homogenises, so solver rounding
     noise (eps * cond per cell for the direct form) decays with the solution
@@ -253,16 +255,19 @@ class _Workspace:
         # Tested before re-anchoring, whose rounding-sized gaps flip the sign at
         # equilibrium; NaN and overflow are left to the test below.
         with np.errstate(over="ignore", invalid="ignore"):
-            if (r * _rate(p, *y1)).min() < 0.0:
+            r1 = _rate(p, *y1)  # a fresh array
+            if np.multiply(r1, r, out=r1).min() < 0.0:
                 return False
         low = y1.min()
         if not low >= 0.0:  # written to fail on NaN, which compares false
             return False
-        u_total, v_total, w_total = _row_sums(y1, low, self.parts)
+        i, j, k = y1.argmax(axis=1).tolist()  # each row's first largest cell
+        high = max(y1.item(0, i), y1.item(1, j), y1.item(2, k))
+        u_total, v_total, w_total = _row_sums(y1, low, high, self.parts)
         m1, m2 = self.anchors
         # the test above passed every cell, and anchoring moves only each row's largest
-        u = _anchor(y1[0], (m1 - self.alpha * w_total) / self.gamma, u_total)
-        v = _anchor(y1[1], (m2 - self.beta * w_total) / self.gamma, v_total)
+        u = _anchor(y1[0], i, (m1 - self.alpha * w_total) / self.gamma, u_total)
+        v = _anchor(y1[1], j, (m2 - self.beta * w_total) / self.gamma, v_total)
         return bool(u >= 0.0 and v >= 0.0)
 
     def _diffuse(self, dt: float) -> bool:
@@ -272,7 +277,7 @@ class _Workspace:
         np.multiply(rhs, dt_d, out=rhs)
         delta = cho_solve_banded(factor, rhs.reshape(-1)).reshape(rhs.shape)
         n = y1.shape[-1]
-        mean = delta.sum(axis=1) / n  # delta.mean(axis=1), without its wrapper
+        mean = np.add.reduce(delta, axis=1) / n  # delta.mean(axis=1), without its wrappers
         # a non-finite mean makes the sum non-finite; a false alarm costs one rhs scan
         if not math.isfinite(sum(mean.tolist())) and not np.isfinite(rhs).all():
             raise ValueError("diffusion right-hand side must not contain infs or NaNs")
@@ -288,7 +293,7 @@ class _Workspace:
             if not (out.min() >= 0.0):
                 out[:] = x
                 # fsum reads a memoryview fastest
-                _anchor(out, math.fsum(memoryview(f)), math.fsum(memoryview(out)))
+                _anchor(out, out.argmax(), math.fsum(memoryview(f)), math.fsum(memoryview(out)))
         return bool(y2.min() >= 0.0)
 
     def attempt(self, s: State, dt: float, safety: float) -> State | None:
@@ -312,14 +317,13 @@ def cho_solve_banded(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lapack.dpbtrs(factor, b)[0]
 
 
-def _diagnostics(p: ReactionParams, s: State, e: Equilibrium, dt: float) -> DiagnosticsRow:
-    mass1, mass2 = weighted_masses(p, s)
-    return DiagnosticsRow(
-        t=s.t, dt=dt, mass1=mass1, mass2=mass2,
-        **vars(dissipation(p, s, e)),  # every EntropyReport field is a column
-        **dict(zip(("l1_u", "l1_v", "l1_w"), l1_distances(s, e))),
-        min_conc=s.min_concentration(),
-    )
+def _diagnostics(p: ReactionParams, s: State, e: Equilibrium,
+                 times: list[tuple[float, float]]) -> list[DiagnosticsRow]:
+    """The rows of the stacked states s, recorded at times [(t, dt), ...]; one call of each."""
+    columns = [*weighted_masses(p, s), *vars(dissipation(p, s, e)).values(),  # the rows' order
+               *l1_distances(s, e), s.min_concentration()]
+    values = zip(*(c.tolist() for c in columns))  # Python floats, a tuple per state
+    return [DiagnosticsRow(*time, *row) for time, row in zip(times, values)]
 
 
 def steps(p: ReactionParams, s0: State, cfg: StepConfig) -> Iterator[tuple[State, float]]:
@@ -329,6 +333,8 @@ def steps(p: ReactionParams, s0: State, cfg: StepConfig) -> Iterator[tuple[State
     ten consecutive accepted steps.  The start is checked here, before the
     first step; StepUnderflowError is raised when halving reaches dt_min.
     """
+    if s0.y.ndim != 2:
+        raise ValueError(f"a run starts from one state, y of shape (3, n), got {s0.y.shape}")
     p.require_normalised("run")
     n = s0.y.shape[-1]
     require("n_cells", n, n >= 2, "an integer >= 2")  # Grid1D's rule, on the start's last axis
@@ -366,31 +372,49 @@ def _accepted_steps(p: ReactionParams, s: State, cfg: StepConfig):
         yield s, dt_try
 
 
+# cells of recorded states that run() reduces in one stacked call of each diagnostic
+_DIAG_CELLS = 2**13
+
+
 def run(p: ReactionParams, s0: State, cfg: StepConfig) -> Trajectory:
     """Integrate to cfg.t_end by steps(), recording diagnostics.
 
-    Diagnostics are recorded at t = 0, every record_every-th accepted step,
-    and at the final time; the final state is kept, no other.
+    Diagnostics are recorded at t = 0, every record_every-th accepted step
+    and at the final time, a buffer of _DIAG_CELLS cells (at least one
+    state) at a time: one stacked call of each diagnostic gives the same
+    rows as one call per state.  The final state is kept, no other.
     """
     accepted_steps = steps(p, s0, cfg)  # checks the start before anything else
     m = MassPair(*weighted_masses(p, s0))
     eq = compute_equilibrium(p, m)
-    rows = [_diagnostics(p, s0, eq, 0.0)]
-    s, dt, recorded_last = s0, 0.0, True
+    # the buffer of recorded states is this stack's y
+    stack = _State(0.0, *np.empty((3, max(_DIAG_CELLS // s0.y.size, 1), s0.y.shape[-1])))
+    rows, times = [], []
+
+    def record(s: State, dt: float) -> None:
+        if len(times) == len(stack.y):
+            rows.extend(_diagnostics(p, stack, eq, times))
+            times.clear()
+        stack.y[len(times)] = s.y
+        times.append((s.t, dt))
+
+    record(s0, 0.0)
+    s, dt, accepted = s0, 0.0, 0
     for accepted, (s, dt) in enumerate(accepted_steps, start=1):
-        recorded_last = accepted % cfg.record_every == 0
-        if recorded_last:
-            rows.append(_diagnostics(p, s, eq, dt))
-    if not recorded_last:
-        rows.append(_diagnostics(p, s, eq, dt))
+        if accepted % cfg.record_every == 0:
+            record(s, dt)
+    if accepted % cfg.record_every:
+        record(s, dt)
+    rows += _diagnostics(p, _State(0.0, *stack.y[:len(times)].swapaxes(0, 1)), eq, times)
     return Trajectory(masses=m, equilibrium=eq, rows=rows, final=s)
 
 
-def z_linf(p: ReactionParams, s: State) -> float:
+def z_linf(p: ReactionParams, s: State):
     """Sup of the cross-diffusion invariant beta*gamma*u + alpha*gamma*v + 2*alpha*beta*w.
 
     With equal diffusivities this combination obeys a pure heat equation,
-    so its sup never grows (parabolic maximum principle).
+    so its sup never grows (parabolic maximum principle).  A float for one
+    state, an array of one sup per state for a stack.
     """
     weights = np.array([p.beta * p.gamma, p.alpha * p.gamma, 2.0 * p.alpha * p.beta])
-    return float((weights[:, None] * s.y).sum(axis=-2).max())
+    return _reduced((weights[:, None] * s.y).sum(axis=-2).max(axis=-1))

@@ -9,6 +9,7 @@ from revreact.entropy import (
     ck_gap,
     dissipation,
     entropy,
+    l1_distances,
     relative_entropy,
 )
 from revreact.grid import Grid1D, fisher_information, integrate
@@ -188,6 +189,33 @@ class TestStackedStates:
             assert isinstance(one.D, float)
             for name in ("E", "E_rel", "D", "fisher_u", "fisher_v", "fisher_w", "reaction_term"):
                 assert getattr(rep, name)[k] == getattr(one, name), name
+
+    def test_a_mixed_stack_of_recordable_states_matches_one_state_calls(self, g):
+        # states a run records, side by side: positive and smooth; vacuum blocks beside
+        # w > 0, whose reaction term is inf; cells below 1e-16 of the equilibrium's
+        p = ReactionParams(2, 1, 3, ell=8.0, d1=0.5, d2=1.0, d3=2.0)
+        eq = compute_equilibrium(p, MassPair(2, 2))
+        x, n = g.cell_centers(), g.n_cells
+        smooth = (1.5 + np.cos(2 * np.pi * x), np.full(n, 0.8), 1.2 - 0.5 * np.sin(2 * np.pi * x))
+        vacuum = (np.where(x < 0.5, 2.0, 0.0), np.where(x >= 0.5, 2.0, 0.0), np.full(n, 0.1))
+        tiny = (np.where(x < 0.25, 1e-300, 1.0), np.full(n, 1.0), np.full(n, 1.0))
+        fields = np.array([smooth, vacuum, tiny, smooth]).swapaxes(0, 1)
+        stacked = State(0.0, *fields)
+        singles = [State(0.0, *fields[:, k]) for k in range(fields.shape[1])]
+        # _species_gap's h == -1 branch: taken by the vacuum and tiny states, not the smooth
+        takes_branch = [bool((s.y / eq.y[:, None] - 1.0 == -1.0).any()) for s in singles]
+        assert takes_branch == [False, True, True, False]
+        assert math.isinf(dissipation(p, singles[1], eq).reaction_term)
+
+        def columns(s):
+            return [*vars(dissipation(p, s, eq)).values(), *l1_distances(s, eq),
+                    *weighted_masses(p, s), s.min_concentration()]
+
+        stack = columns(stacked)
+        for k, s in enumerate(singles):
+            one = columns(s)
+            assert all(type(v) is float for v in one)
+            assert [float(c[k]).hex() for c in stack] == [v.hex() for v in one]
 
     def test_ck_gap_matches_one_state_calls(self, g, p, eq):
         # homogeneous shifts (1+h, 1+h, 1-h) keep the masses of eq

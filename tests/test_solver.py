@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from revreact import solver
 from revreact.cli import validate_rows
-from revreact.entropy import entropy
+from revreact.entropy import dissipation, entropy, l1_distances
 from revreact.grid import Grid1D, integrate
 from revreact.model import ReactionParams, masses_of, weighted_masses
 from revreact.solver import (
@@ -76,6 +76,15 @@ class TestStateLayout:
     def test_mismatched_shapes_raise(self):
         with pytest.raises(ValueError, match="u, v, w must share one grid"):
             State(0.0, np.ones(4), np.ones(4), np.ones(5))
+
+    def test_min_concentration_reduces_each_state_of_a_stack(self):
+        u, v, w = np.array([[[3.0, 4.0], [1.0, 9.0]], [[2.0, 6.0], [8.0, 8.0]],
+                            [[5.0, 7.0], [0.5, 3.0]]])
+        stacked = State(0.0, u, v, w)
+        assert stacked.min_concentration().tolist() == [2.0, 0.5]
+        for k, low in enumerate((2.0, 0.5)):
+            one = State(0.0, u[k], v[k], w[k]).min_concentration()
+            assert type(one) is float and one == low
 
 
 class TestReactionRate:
@@ -269,6 +278,46 @@ class TestRun:
             with pytest.raises(ValueError, match="runs start at t = 0"):
                 start(ReactionParams(1, 1, 1), s, StepConfig(t_end=0.01))
 
+    def test_rejects_a_stacked_start_naming_both_shapes(self):
+        stack = State(0.0, *np.ones((3, 2, 8)))
+        p = ReactionParams(1, 1, 1, ell=3.0)  # the shape is checked before the rates
+        for start in (run, steps):
+            with pytest.raises(ValueError, match=r"y of shape \(3, n\), got \(2, 3, 8\)"):
+                start(p, stack, StepConfig(t_end=0.01))
+
+    @staticmethod
+    def _row_of_one_state(p, s, e, dt):
+        mass1, mass2 = weighted_masses(p, s)
+        return solver.DiagnosticsRow(
+            t=s.t, dt=dt, mass1=mass1, mass2=mass2, **vars(dissipation(p, s, e)),
+            **dict(zip(("l1_u", "l1_v", "l1_w"), l1_distances(s, e))),
+            min_conc=s.min_concentration(),
+        )
+
+    @pytest.mark.parametrize("n", [2, 200, 2000])
+    @pytest.mark.parametrize("record_every", [1, 3, 20])
+    def test_rows_equal_rows_built_one_state_at_a_time(self, n, record_every):
+        # k = 2^13 // 3n states per stacked call: 1365 at n = 2 (a run shorter than one
+        # buffer), 13 at n = 200 (several full buffers, or one part-filled), 1 at n = 2000
+        p = ReactionParams(2, 1, 3, ell=8.0, d1=1.0, d2=0.1, d3=0.01)
+        x = Grid1D(n).cell_centers()
+        # w > 0 beside the vacuum: the t = 0 row has an infinite reaction term
+        s0 = State(0.0, np.where(x < 0.5, 2.0, 0.0), np.where(x >= 0.5, 2.0, 0.0), np.full(n, 0.1))
+        cfg = StepConfig(dt_init=1e-3, t_end=0.043, record_every=record_every)
+        accepted = list(steps(p, s0, cfg))
+        recorded = [(s0, 0.0)] + accepted[record_every - 1::record_every]
+        if len(accepted) % record_every:
+            recorded.append(accepted[-1])  # the final row, off a multiple of record_every
+        traj = run(p, s0, cfg)
+        e = traj.equilibrium
+        expected = [self._row_of_one_state(p, s, e, dt) for s, dt in recorded]
+        assert math.isinf(expected[0].reaction_term)
+        assert len(traj.rows) == len(expected)
+        for got, want in zip(traj.rows, expected):
+            assert all(type(x) is float for x in dataclasses.astuple(got))
+            assert np.array(dataclasses.astuple(got)).tobytes() == \
+                np.array(dataclasses.astuple(want)).tobytes()
+
     def test_final_is_the_last_accepted_state(self):
         p = ReactionParams(2, 1, 3, d1=1.0, d2=0.1, d3=0.01)
         x = Grid1D(40).cell_centers()
@@ -461,7 +510,7 @@ class TestRowSums:
 
     @staticmethod
     def _row_sums(y):
-        return solver._row_sums(y, y.min(), np.empty((2,) + y.shape))
+        return solver._row_sums(y, y.min(), float(y.max()), np.empty((2,) + y.shape))
 
     @staticmethod
     def _bits(values):
@@ -610,6 +659,15 @@ class TestZLinf:
 
     def test_single_species(self):
         assert z_linf(ReactionParams(1, 1, 1), homogeneous_state(8, 2, 0, 0)) == 2.0
+
+    def test_reduces_each_state_of_a_stack(self):
+        p = ReactionParams(1, 1, 1)
+        u = np.array([[1.0, 3.0], [5.0, 2.0]])
+        stacked = State(0.0, u, np.zeros_like(u), np.zeros_like(u))
+        assert z_linf(p, stacked).tolist() == [3.0, 5.0]
+        for k, sup in enumerate((3.0, 5.0)):
+            one = z_linf(p, State(0.0, u[k], np.zeros(2), np.zeros(2)))
+            assert type(one) is float and one == sup
 
     def test_matches_brute_force_scan(self):
         p = ReactionParams(2, 3, 1)
