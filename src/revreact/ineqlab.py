@@ -21,7 +21,8 @@ CHUNK samples at a time as one stacked State, so a report does not depend on CHU
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import index
 from typing import Any
 
 import numpy as np
@@ -101,6 +102,10 @@ def mu_c_max(p: ReactionParams, e: Equilibrium) -> float:
 
 def check_n_grid(n_grid) -> None:
     """The homogeneous scan's rule for its grid, which the config applies too."""
+    try:
+        index(n_grid)
+    except TypeError:
+        raise TypeError(f"n_grid must be an integer, got {n_grid!r}") from None
     require("n_grid", n_grid, n_grid >= 100, ">= 100")
 
 
@@ -116,19 +121,9 @@ def scan_homogeneous_ratio(p: ReactionParams, m: MassPair, n_grid: int = 2001) -
     hi = mu_c_max(p, e)
     grid = np.linspace(-1.0, hi, n_grid)
     grid = grid[np.abs(grid) >= 1e-6]
-    ratios = homogeneous_ratio(p, e, grid)
-    i_min = int(np.argmin(ratios))
-    i_max = int(np.argmax(ratios))
     r_h, r_h2 = homogeneous_ratio(p, e, np.array([1e-3, 0.5e-3]))
-    return RatioReport(
-        n_samples=len(grid),
-        min_ratio=float(ratios[i_min]),
-        max_ratio=float(ratios[i_max]),
-        argmin=float(grid[i_min]),
-        argmax=float(grid[i_max]),
-        constant_estimate=float(ratios[i_max]),
-        zero_limit=float(2.0 * r_h2 - r_h),
-    )
+    return _ratio_report(homogeneous_ratio(p, e, grid), grid.tolist(), max,
+                         zero_limit=float(2.0 * r_h2 - r_h))
 
 
 def _positive_shape(rng: np.random.Generator, shape: np.ndarray) -> None:
@@ -236,23 +231,22 @@ def sample_admissible(p: ReactionParams, m: MassPair, g: Grid1D, seed) -> State:
     return State(0.0, *_admissible_stack(p, m, g, [seed]).y[0])
 
 
-def _ratio_report(pairs: list[tuple[float, Any]], pick_constant) -> RatioReport:
-    ratios = np.array([r for r, _ in pairs])
-    i_min = int(np.argmin(ratios))
-    i_max = int(np.argmax(ratios))
-    return RatioReport(
-        n_samples=len(pairs),
-        min_ratio=float(ratios[i_min]),
-        max_ratio=float(ratios[i_max]),
-        argmin=pairs[i_min][1],
-        argmax=pairs[i_max][1],
-        constant_estimate=pick_constant(float(ratios[i_min]), float(ratios[i_max])),
-    )
+def _ratio_report(ratios, labels: list, pick_constant, **counts) -> RatioReport:
+    """The first smallest and first largest ratio with their labels, and pick_constant(min, max).
+
+    counts (n_samples, n_skipped, n_uncovered, zero_limit) are taken as given;
+    n_samples defaults to the number of labels.
+    """
+    ratios = np.asarray(ratios, dtype=float)
+    i_min, i_max = int(np.argmin(ratios)), int(np.argmax(ratios))
+    lo, hi = float(ratios[i_min]), float(ratios[i_max])
+    return RatioReport(min_ratio=lo, max_ratio=hi, argmin=labels[i_min], argmax=labels[i_max],
+                       constant_estimate=pick_constant(lo, hi),
+                       **{"n_samples": len(labels), **counts})
 
 
 def check_sampling_keys(seed, n_samples) -> tuple[int, int]:
     """seed and n_samples as ints, each checked by name; the config applies the same rules."""
-    from operator import index  # kept off the module's imports
     try:
         seed, n_samples = index(seed), index(n_samples)
     except TypeError:
@@ -273,7 +267,7 @@ def _sampled_report(p, m, g, n_samples, seed, evaluate, pick_constant):
     gives the same first-occurrence argmin/argmax as one pass over all.
     """
     seed, n_samples = check_sampling_keys(seed, n_samples)
-    pairs = []
+    ratios, labels = [], []
     n_informative = n_uncovered = n_bad = 0
     for start in range(0, n_samples, CHUNK):
         words = _seed_words(seed, np.arange(start, min(start + CHUNK, n_samples)))
@@ -288,17 +282,14 @@ def _sampled_report(p, m, g, n_samples, seed, evaluate, pick_constant):
         if kept.size:
             for k in (int(kept[np.argmin(ratio[kept])]), int(kept[np.argmax(ratio[kept])])):
                 means = dict(zip(("mean_u", "mean_v", "mean_w"), s.y[k].mean(axis=-1).tolist()))
-                pairs.append((float(ratio[k]), {"index": start + k, **means}))
+                ratios.append(float(ratio[k]))
+                labels.append({"index": start + k, **means})
     if n_bad:
         raise ValueError(f"{n_bad} of {n_samples} samples gave a non-finite ratio")
-    if not pairs:
+    if not labels:
         raise ValueError("no informative samples")
-    return replace(
-        _ratio_report(pairs, pick_constant),
-        n_samples=n_informative,
-        n_skipped=n_samples - n_informative - n_uncovered,
-        n_uncovered=n_uncovered,
-    )
+    return _ratio_report(ratios, labels, pick_constant, n_samples=n_informative,
+                         n_skipped=n_samples - n_informative - n_uncovered, n_uncovered=n_uncovered)
 
 
 def estimate_k2_split(
@@ -323,8 +314,7 @@ def estimate_k2_split(
     zero variance; those covered by the k1 term are counted in n_skipped,
     the rest in n_uncovered.
     """
-    if k1 <= 0:
-        raise ValueError("k1 must be > 0")
+    require("k1", k1, k1 > 0, "> 0")
     root_eq = np.sqrt(compute_equilibrium(p, m).y)[:, None]
 
     def evaluate(s: State):
@@ -367,17 +357,11 @@ def estimate_eed_constant(
 
 def trajectory_eed_constant(traj: Trajectory) -> RatioReport:
     """Minimal D / E_rel over the recorded rows of a trajectory."""
-    pairs = [
-        (row.D / row.E_rel, {"t": row.t})
-        for row in traj.rows
-        if row.E_rel >= _EREL_CUTOFF
-    ]
-    if len(pairs) < 2:
+    rows = [row for row in traj.rows if row.E_rel >= _EREL_CUTOFF]
+    if len(rows) < 2:
         raise ValueError("trajectory has fewer than 2 informative rows")
-    return replace(
-        _ratio_report(pairs, pick_constant=min),
-        n_skipped=len(traj.rows) - len(pairs),
-    )
+    return _ratio_report([row.D / row.E_rel for row in rows], [{"t": row.t} for row in rows], min,
+                         n_skipped=len(traj.rows) - len(rows))
 
 
 def verify_csiszar_kullback(

@@ -41,6 +41,13 @@ M22 = MassPair(2, 2)
 
 
 class TestHomogeneousScan:
+    CONFIGS = [
+        (ReactionParams(1, 1, 1), MassPair(3, 2)),
+        (ReactionParams(2, 1, 1), MassPair(2, 1)),
+        (ReactionParams(1, 2, 3), MassPair(4, 3)),
+        (ReactionParams(2, 2, 3), MassPair(5, 4)),
+    ]
+
     def test_symmetric_range(self):
         eq = compute_equilibrium(P111, M22)
         assert mu_c_max(P111, eq) == pytest.approx(math.sqrt(2) - 1, rel=1e-14)
@@ -58,21 +65,21 @@ class TestHomogeneousScan:
         assert rep.zero_limit == pytest.approx(1 / 3, abs=1e-3)
 
     def test_finite_positive_sup_across_configs(self):
-        configs = [
-            (ReactionParams(1, 1, 1), MassPair(3, 2)),
-            (ReactionParams(2, 1, 1), MassPair(2, 1)),
-            (ReactionParams(1, 2, 3), MassPair(4, 3)),
-            (ReactionParams(2, 2, 3), MassPair(5, 4)),
-        ]
-        for p, m in configs:
+        for p, m in self.CONFIGS:
             rep = scan_homogeneous_ratio(p, m, 501)
             assert math.isfinite(rep.constant_estimate)
             assert rep.constant_estimate > 0
             assert rep.min_ratio <= rep.max_ratio
 
     def test_n_grid_floor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("n_grid must be >= 100, got 99")):
             scan_homogeneous_ratio(P111, M22, 99)
+        for n_grid in (150.5, 2001.0):
+            message = f"n_grid must be an integer, got {n_grid}"
+            with pytest.raises(TypeError, match=re.escape(message)):
+                scan_homogeneous_ratio(P111, M22, n_grid)
+        rep = scan_homogeneous_ratio(P111, M22, np.int64(150))
+        assert rep == scan_homogeneous_ratio(P111, M22, 150)
 
 
 class TestSampler:
@@ -304,8 +311,9 @@ class TestK2Split:
         assert rep.min_ratio >= 0.0
 
     def test_k1_validation(self):
-        with pytest.raises(ValueError):
-            estimate_k2_split(P111, M22, Grid1D(16), 10, k1=0.0)
+        for k1 in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="k1 must be "):
+                estimate_k2_split(P111, M22, Grid1D(16), 10, k1=k1)
 
 
 class TestEed:
@@ -339,6 +347,30 @@ class TestEed:
         traj = run(p, s0, StepConfig(dt_init=1e-3, t_end=0.05, record_every=10))
         with pytest.raises(ValueError):
             trajectory_eed_constant(traj)
+
+
+# sha256 of repr of the reports of the producers no other test pins bit for bit, recorded
+# before every producer built its report through _ratio_report
+UNSAMPLED_REPORT_SHA256 = {
+    "scan n_grid=2001": "804b205bb10eed289dc6dfb47b5c4f7b620bbd3e280d5b1a16448f0761783db4",
+    "scan n_grid=150": "710ff79ce31523efe5c2526637b6c4d66eb3b2253a323157969b4ae47ee8acf9",
+    "trajectory": "50e73e2bcea4726828ae5f8510ad2ec841f9474c0526d58d88457c6a877d9121",
+}
+
+
+@pytest.mark.parametrize("case", UNSAMPLED_REPORT_SHA256)
+def test_scan_and_trajectory_reports_are_pinned(case):
+    if case == "trajectory":  # the reference run of the acceptance suite, to t = 5
+        x = Grid1D(200).cell_centers()
+        s0 = State(0.0, 2 * (1 - np.cos(2 * np.pi * x)), np.full_like(x, 2.0), np.zeros_like(x))
+        cfg = StepConfig(dt_init=1e-2, dt_min=1e-12, safety=0.2, t_end=5.0, record_every=20)
+        p = ReactionParams(1, 1, 1, d1=1.0, d2=2.0, d3=3.0)
+        reports = trajectory_eed_constant(run(p, s0, cfg))
+    else:
+        n_grid = int(case.rpartition("=")[2])
+        reports = tuple(scan_homogeneous_ratio(p, m, n_grid)
+                        for p, m in TestHomogeneousScan.CONFIGS)
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == UNSAMPLED_REPORT_SHA256[case]
 
 
 def _k2_ratio(p, m, g, s, k1):
