@@ -141,7 +141,7 @@ def _positive_shape(rng: np.random.Generator, shape: np.ndarray) -> None:
         shape[i0:i1] = 0.0  # i1 < n keeps at least one live cell
     elif kind == 2:
         rng.standard_exponential(out=shape)
-    if shape.sum() <= 0.0:
+    if not shape.item(-1) > 0.0 and shape.sum() <= 0.0:  # cells are >= 0: a live last cell suffices
         shape[rng.integers(0, n)] = 1.0
 
 
@@ -207,9 +207,10 @@ def _admissible_stack(p: ReactionParams, m: MassPair, g: Grid1D, seeds) -> State
     shapes = np.empty((len(seeds), 3, g.n_cells))  # of u, v, w, drawn in the order w, u, v
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        frac[k] = rng.uniform(0.02, 0.95)
+        frac[k] = rng.random()
         for j in (2, 0, 1):
             _positive_shape(rng, shapes[k, j])
+    frac = 0.02 + (0.95 - 0.02) * frac  # uniform(0.02, 0.95) maps the same double the same way
     means = shapes.mean(axis=-1)
 
     w_mass = delta + frac * (bound - delta)
@@ -356,11 +357,15 @@ def estimate_eed_constant(
 
 
 def trajectory_eed_constant(traj: Trajectory) -> RatioReport:
-    """Minimal D / E_rel over the recorded rows of a trajectory."""
-    rows = [row for row in traj.rows if row.E_rel >= _EREL_CUTOFF]
+    """Minimal D / E_rel over the recorded rows of a trajectory.
+
+    Rows with E_rel below cutoff or an infinite D (a species at 0) count in n_skipped.
+    """
+    rows = [(row.D / row.E_rel, row.t) for row in traj.rows if row.E_rel >= _EREL_CUTOFF]
+    rows = [(ratio, t) for ratio, t in rows if math.isfinite(ratio)]
     if len(rows) < 2:
         raise ValueError("trajectory has fewer than 2 informative rows")
-    return _ratio_report([row.D / row.E_rel for row in rows], [{"t": row.t} for row in rows], min,
+    return _ratio_report([ratio for ratio, _ in rows], [{"t": t} for _, t in rows], min,
                          n_skipped=len(traj.rows) - len(rows))
 
 

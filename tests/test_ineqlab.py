@@ -11,6 +11,7 @@ from revreact.grid import Grid1D, integrate
 from revreact.ineqlab import (
     CHUNK,
     _admissible_stack,
+    _positive_shape,
     _PresetSeed,
     _sampled_report,
     _seed_words,
@@ -208,6 +209,51 @@ class TestSamplerStream:
             assert stack[k].tobytes() == _drawn_the_old_way(self.P, self.M, g, seed, seen).tobytes()
         assert {0, 1, 2, (1, True)} <= seen  # every kind, and a window drawn descending
 
+    def test_mass_fraction_is_uniforms_map_of_one_double(self):
+        # the sampler draws w's mass fraction with random() and maps it as uniform(0.02, 0.95) does
+        for seed in self.SEEDS:
+            mapped, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert 0.02 + (0.95 - 0.02) * mapped.random() == plain.uniform(0.02, 0.95)
+            assert mapped.bit_generator.state == plain.bit_generator.state
+        mapped = 0.02 + (0.95 - 0.02) * np.random.default_rng(self.SEEDS[0]).random(10**6)
+        plain = np.random.default_rng(self.SEEDS[0]).uniform(0.02, 0.95, 10**6)
+        assert mapped.tobytes() == plain.tobytes()
+
+
+class _ScriptedRng:
+    """Answers _positive_shape's calls from a script and records its integers() calls."""
+
+    def __init__(self, ints, cells):
+        self.ints, self.cells, self.calls = list(ints), np.asarray(cells, dtype=float), []
+
+    def integers(self, lo, hi):
+        self.calls.append((lo, hi))
+        return self.ints.pop(0)
+
+    def random(self, out):
+        out[:] = self.cells
+
+    def standard_exponential(self, out):
+        out[:] = self.cells
+
+
+class TestPositiveShapeGuard:
+    """The positive-mean fix draws one more cell only when every cell is 0.0."""
+
+    @pytest.mark.parametrize("kind", [0, 2])  # the zeros come from random() or the exponentials
+    def test_all_zero_shape_gets_one_unit_cell(self, kind):
+        rng, shape = _ScriptedRng([kind, 2], np.zeros(5)), np.empty(5)
+        _positive_shape(rng, shape)
+        assert rng.calls == [(0, 3), (0, 5)]
+        assert shape.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+
+    def test_zero_last_cell_with_a_live_cell_is_left_alone(self):
+        cells = [0.0, 0.5, 0.0, 0.0, 0.0]
+        rng, shape = _ScriptedRng([0], cells), np.empty(5)
+        _positive_shape(rng, shape)
+        assert rng.calls == [(0, 3)]
+        assert shape.tolist() == cells
+
 
 class TestSeedWords:
     """_sampled_report seeds sample i with the PCG64 state SeedSequence([seed, i]) gives."""
@@ -350,11 +396,12 @@ class TestEed:
 
 
 # sha256 of repr of the reports of the producers no other test pins bit for bit, recorded
-# before every producer built its report through _ratio_report
+# before every producer built its report through _ratio_report; the trajectory's since it
+# skips rows with an infinite D
 UNSAMPLED_REPORT_SHA256 = {
     "scan n_grid=2001": "804b205bb10eed289dc6dfb47b5c4f7b620bbd3e280d5b1a16448f0761783db4",
     "scan n_grid=150": "710ff79ce31523efe5c2526637b6c4d66eb3b2253a323157969b4ae47ee8acf9",
-    "trajectory": "50e73e2bcea4726828ae5f8510ad2ec841f9474c0526d58d88457c6a877d9121",
+    "trajectory": "462160228044bcf547f144f25d82b47cb883a2086e8ff32d474af631a1e8256b",
 }
 
 
@@ -366,6 +413,11 @@ def test_scan_and_trajectory_reports_are_pinned(case):
         cfg = StepConfig(dt_init=1e-2, dt_min=1e-12, safety=0.2, t_end=5.0, record_every=20)
         p = ReactionParams(1, 1, 1, d1=1.0, d2=2.0, d3=3.0)
         reports = trajectory_eed_constant(run(p, s0, cfg))
+        # the t = 0 row, where w = 0 makes D infinite, is skipped, not reported as the max
+        assert (reports.n_samples, reports.n_skipped) == (25, 5)
+        assert math.isfinite(reports.max_ratio) and reports.argmax["t"] > 0.0
+        assert reports.min_ratio == reports.constant_estimate == 6.000001887397873
+        assert reports.argmin == {"t": 4.39921874999995}
     else:
         n_grid = int(case.rpartition("=")[2])
         reports = tuple(scan_homogeneous_ratio(p, m, n_grid)
