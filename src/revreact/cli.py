@@ -71,18 +71,18 @@ CONFIG_KEYS = {
     "out": (str, None, "output path for CSV / report"),
 }
 
-# subcommand -> the config keys it reads; any other key is rejected.  Every
-# one reads the model and the initial profiles, from which the commands that
-# take m1, m2 derive the masses when those are not set.
+# subcommand -> the config keys it reads; any other key is rejected.  Every one reads the
+# exponents and the initial profiles, from which m1, m2 are derived when not set.  Only
+# simulate and verify-eed read the rates and diffusivities: they enter only the evolution and D.
 COMMAND_KEYS = {
-    command: ("alpha", "beta", "gamma", "ell", "k", "d1", "d2", "d3", "n_cells",
-              "u_profile", "v_profile", "w_profile", "u_amplitude", "v_amplitude",
-              "w_amplitude") + extra
+    command: ("alpha", "beta", "gamma", "n_cells", "u_profile", "v_profile", "w_profile",
+              "u_amplitude", "v_amplitude", "w_amplitude") + extra
     for command, extra in {
-        "simulate": ("dt_init", "dt_min", "safety", "t_end", "record_every", "out"),
+        "simulate": ("ell", "k", "d1", "d2", "d3", "dt_init", "dt_min", "safety", "t_end",
+                     "record_every", "out"),
         "equilibrium": ("m1", "m2"),
         "scan": ("m1", "m2", "n_grid", "out"),
-        "verify-eed": ("m1", "m2", "n_samples", "seed", "out"),
+        "verify-eed": ("ell", "k", "d1", "d2", "d3", "m1", "m2", "n_samples", "seed", "out"),
         "verify-ck": ("m1", "m2", "n_samples", "seed", "out"),
     }.items()
 }
@@ -122,9 +122,7 @@ class RunConfig:
 
     def masses(self) -> MassPair:
         """Explicit m1/m2 if given, else derived from the initial profiles."""
-        return self.explicit_masses or MassPair(
-            *weighted_masses(self.params, self.initial_state())
-        )
+        return self.explicit_masses or MassPair(*weighted_masses(self.params, self.initial_state()))
 
     def initial_state(self) -> State:
         """The t = 0 profiles; ValueError naming the amplitudes if a mass is 0 or not finite."""
@@ -268,8 +266,10 @@ def fit_rate(series) -> tuple[float, float, float]:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("series must be pairs (t, value)")
     t, val = pts[:, 0], pts[:, 1]
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing")
+    if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+        raise ValueError("times must be finite and strictly increasing")
+    if np.isnan(val).any():  # inf is kept: D is inf at t = 0
+        raise ValueError(f"value is NaN at t = {_fmt(t[np.isnan(val)][0])}")
     qualifying = val > 1e-14
     if qualifying.sum() < 3:
         raise ValueError("too few qualifying points (need 3 above 1e-14)")

@@ -122,6 +122,8 @@ class TestBoundary:
     @pytest.mark.parametrize("command,key", [
         ("simulate", "seed"), ("simulate", "n_samples"), ("equilibrium", "out"),
         ("equilibrium", "t_end"), ("scan", "seed"), ("verify-eed", "dt_init"),
+        # the rates and diffusivities enter only the evolution and D
+        ("equilibrium", "ell"), ("scan", "d1"), ("verify-ck", "d3"),
     ])
     def test_subcommand_rejects_keys_it_does_not_read(self, command, key):
         with pytest.raises(ConfigError, match=f"line 2: {command} does not read key '{key}'"):
@@ -149,7 +151,7 @@ class TestBoundary:
         cfg = parse_config("alpha = 1\nbeta = 2\ngamma = 3\nell = 8\n", "simulate")
         assert cfg.params.rate_factor == pytest.approx(2.0)
         with pytest.raises(ConfigError, match="k must be 1 unless alpha \\+ beta == gamma"):
-            parse_config("k = 0.5\n", "equilibrium")
+            parse_config("k = 0.5\n", "verify-eed")
 
     def test_flag_overrides_are_validated(self, capsys):
         assert main(["equilibrium", "--m1", "nan", "--m2", "2"]) == 2
@@ -410,14 +412,36 @@ class TestFitRate:
             fit_rate([(0.0, 1e-20), (1.0, 1e-20), (2.0, 1e-20), (3.0, 1.0)])
 
     def test_times_must_increase(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            fit_rate([(0.0, 1.0), (0.0, 0.5), (1.0, 0.2)])
+        # a NaN or an infinite time is refused too
+        for times in [(0.0, 0.0, 1.0), (0.0, math.nan, 1.0), (0.0, 0.5, math.nan),
+                      (0.0, 0.5, math.inf)]:
+            with pytest.raises(ValueError, match="finite and strictly increasing"):
+                fit_rate(zip(times, (1.0, 0.5, 0.2)))
+
+    def test_a_nan_value_is_named_by_its_time(self):
+        # inf stays allowed: the D column is inf at t = 0
+        with pytest.raises(ValueError, match=re.escape("value is NaN at t = 0.5")):
+            fit_rate([(0.0, math.inf), (0.5, math.nan), (1.0, 0.2), (2.0, 0.1)])
+
+    @pytest.mark.parametrize("series", [[], [1.0, 2.0, 3.0], [(0.0, 1.0, 2.0)]])
+    def test_series_must_be_pairs(self, series):
+        with pytest.raises(ValueError, match=re.escape("series must be pairs (t, value)")):
+            fit_rate(series)
 
 
 @pytest.fixture
 def small_traj():
     cfg = parse_config(REFERENCE_CONFIG)
     return run(cfg.params, cfg.initial_state(), cfg.step)
+
+
+def _tamper(path, row, col, value):
+    """Set one field of a written CSV; `row` counts data rows from 0, as validate does."""
+    header, *data = path.read_text().splitlines()
+    parts = data[row].split(",")
+    parts[CSV_COLUMNS.index(col)] = value
+    data[row] = ",".join(parts)
+    path.write_text("\n".join([header, *data]) + "\n")
 
 
 class TestCsv:
@@ -453,29 +477,60 @@ class TestCsv:
         write_trajectory_csv(path, small_traj)
         rows = read_csv_rows(path)
         assert validate_rows(rows) == []
-        text = path.read_text().splitlines()
-        parts = text[2].split(",")
-        parts[2] = repr(float(parts[2]) * 1.01)  # corrupt mass1
-        text[2] = ",".join(parts)
-        path.write_text("\n".join(text) + "\n")
+        _tamper(path, 1, "mass1", repr(rows[1].mass1 * 1.01))
         assert any("mass1" in msg for msg in validate_rows(read_csv_rows(path)))
 
     def test_validate_fails_on_a_nan_row(self, tmp_path, small_traj, capsys):
         # NaN compares false, so every invariant must be written to fail on it
         path = tmp_path / "run.csv"
         write_trajectory_csv(path, small_traj)
-        text = path.read_text().splitlines()
-        parts = text[3].split(",")
         for col in ("mass1", "E"):
-            parts[CSV_COLUMNS.index(col)] = "nan"
-        text[3] = ",".join(parts)
-        path.write_text("\n".join(text) + "\n")
+            _tamper(path, 2, col, "nan")
         assert main(["validate", "--csv", str(path)]) == 1
         out = capsys.readouterr().out
         assert "PASS" not in out
         assert "row 2: mass1 drifted to nan" in out
         assert "row 2: entropy increased to nan" in out
         assert "row 3" not in out  # compared with row 1, not with the NaN
+
+    @pytest.mark.parametrize("col,value,message", [
+        ("t", "0.0", "FAIL validate row 2: time 0.0 not increasing"),
+        ("mass2", "2.5", "FAIL validate row 2: mass2 drifted to 2.5"),
+        ("min_conc", "-0.001", "FAIL validate row 2: negative concentration -0.001"),
+        ("D", "1.0,2.0", "bad row '"),  # one field too many
+    ])
+    def test_each_check_catches_one_tampered_field(self, tmp_path, small_traj, capsys,
+                                                   col, value, message):
+        path = tmp_path / "run.csv"
+        write_trajectory_csv(path, small_traj)
+        _tamper(path, 2, col, value)
+        assert main(["validate", "--csv", str(path)]) == 1
+        out, err = capsys.readouterr()
+        [line] = (out + err).splitlines()
+        assert message in line
+
+    def test_header_only_has_no_rows(self, tmp_path, capsys):
+        path = tmp_path / "run.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n")
+        assert main(["validate", "--csv", str(path)]) == 1
+        assert capsys.readouterr().out == "FAIL validate no rows\n"
+
+    @pytest.mark.parametrize("row,col,message", [
+        (2, "t", "times must be finite and strictly increasing"),
+        (-1, "t", "times must be finite and strictly increasing"),
+        (20, "E_rel", "value is NaN at t = "),
+    ])
+    def test_fit_rate_refuses_a_nan_in_one_error_line(self, tmp_path, capfd, small_traj,
+                                                      row, col, message):
+        # capfd, not capsys: LAPACK writes to the file descriptor directly
+        path, report = tmp_path / "run.csv", tmp_path / "fit.txt"
+        write_trajectory_csv(path, small_traj)
+        _tamper(path, row, col, "nan")
+        assert main(["fit-rate", "--csv", str(path), "--out", str(report)]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not report.exists()
 
     def test_header_enforced(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,6 +1,7 @@
 """Demos 01-03 run against the package's public API and exit 0.
 
-Demo 04 takes about 20 s and is run by hand.
+Demo 04 takes several seconds and is run by CI, as its own step of
+.github/workflows/tier1.yml.
 """
 
 import os
