@@ -260,7 +260,7 @@ def fit_rate(series) -> tuple[float, float, float]:
 
     The fit uses points with value in (1e-14, 0.1 * first value); when
     fewer than three qualify (e.g. a constant series) it falls back to all
-    points above 1e-14.  Returns (K_fit, intercept, r_squared).
+    finite points above 1e-14.  Returns (K_fit, intercept, r_squared).
     """
     pts = np.asarray(list(series), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -270,9 +270,9 @@ def fit_rate(series) -> tuple[float, float, float]:
         raise ValueError("times must be finite and strictly increasing")
     if np.isnan(val).any():  # inf is kept: D is inf at t = 0
         raise ValueError(f"value is NaN at t = {_fmt(t[np.isnan(val)][0])}")
-    qualifying = val > 1e-14
+    qualifying = np.isfinite(val) & (val > 1e-14)
     if qualifying.sum() < 3:
-        raise ValueError("too few qualifying points (need 3 above 1e-14)")
+        raise ValueError("too few qualifying points (need 3 finite above 1e-14)")
     tail = qualifying & (val < 0.1 * val[0])
     sel = tail if tail.sum() >= 3 else qualifying
     y = np.log(val[sel])

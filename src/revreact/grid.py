@@ -62,11 +62,12 @@ def laplacian_neumann(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     """
     f = np.asarray(f, dtype=float)
     dx = 1.0 / f.shape[-1]
-    flux = (f[..., 1:] - f[..., :-1]) / dx  # np.diff(f), without its Python wrapper
+    flux = np.subtract(f[..., 1:], f[..., :-1])  # np.diff(f), without its Python wrapper
+    np.divide(flux, dx, out=flux)
     if out is None:
         out = np.empty_like(f)
-    out.fill(0.0)
-    out[..., :-1] += flux  # adding to zeros, not copying: 0 + (-0.0) is +0.0
+    np.add(flux, 0.0, out=out[..., :-1])  # not a copy: (-0.0) + 0 is +0.0, as 0 + (-0.0) is
+    out[..., -1] = 0.0
     out[..., 1:] -= flux
     return np.divide(out, dx, out=out)
 

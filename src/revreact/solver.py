@@ -21,6 +21,7 @@ makes all its attempts in one private _Workspace.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from collections.abc import Iterator
@@ -46,6 +47,10 @@ from .model import (
 # pointwise relative-change test so that cells at vacuum do not force
 # rejections forever
 _REL_CHANGE_FLOOR = 0.01
+
+_FSUM_CELLS = 64  # up to this many cells, math.fsum's loop costs no more than _row_sums
+
+_QUIET = contextlib.nullcontext()  # the sign test's context when no overflow is possible
 
 
 class StepUnderflowError(RuntimeError):
@@ -153,6 +158,16 @@ _rate = reaction_rate  # the overshoot test's alias: hooks count calls to reacti
 _State = State  # the diagnostics stack's alias: hooks count calls to State
 
 
+def _least(a: np.ndarray) -> float:
+    """a.min() as a Python float, NaN if a holds one; argmin skips the ufunc reduction's set-up."""
+    return a.item(a.argmin())
+
+
+def _most(a: np.ndarray) -> float:
+    """a.max() as a Python float, NaN if a holds one; argmax skips the ufunc reduction's set-up."""
+    return a.item(a.argmax())
+
+
 def _anchor(f: np.ndarray, i: int, target: float, total: float) -> float:
     """Move f's largest cell, f[i], by target minus total, f's exact sum; return it."""
     f[i] += target - total
@@ -192,30 +207,38 @@ class _Workspace:
 
     Built once per run, it holds the start state's exact weighted sums (the
     re-anchoring targets), nu and the diffusivities d as (3, 1) columns, the
-    exponents as floats, per dt the banded Cholesky factor, dt*nu and dt*d,
-    and the buffers of the reaction update y1, the diffusion result y2 (which
-    holds the right-hand side until the solve returns), the change test and
-    _row_sums.  An attempt is two substeps, either of which may reject it:
-    _react writes y + dt*nu*R into y1, _diffuse solves y1 into y2.  Only an
-    accepted step is copied out, into a State.  Every re-anchoring is _anchor.
+    exponents as floats, per dt the banded Cholesky factor, dt*nu, dt*d and
+    the sign test's quiet bound, and the buffers of the reaction update y1,
+    the diffusion result y2 (which holds the right-hand side until the solve
+    returns), the change test and _row_sums, with the row views, memoryviews
+    and flat view of y1 and y2 that an attempt reads, made once.  An attempt
+    is two substeps and a change test, each of which may reject it: _react
+    writes y + dt*nu*R into y1, _diffuse solves y1 into y2, and _settled
+    compares y2 with y.  Only an accepted step is copied out, into a State.
+    Every re-anchoring is _anchor.
 
     The reaction conserves both weighted sums algebraically, but its cells
     round independently, so _react re-anchors u and v to the start's sums,
     lest rounding random-walk over a long run.  The anchors use fsum's row
-    sums, which _row_sums gives in a few numpy passes, each proved equal to
-    fsum's bit for bit or taken from fsum, and one argmax per row bounds
-    them and picks the cells to move.  _diffuse solves the species as one
-    system of 3n rows with uncoupled blocks (bit for bit as three), in
-    increment form, (I - dt*d*L) delta = dt*d*L y1, y2 = y1 + delta: the
-    right-hand side vanishes as the field homogenises, so solver rounding
-    noise (eps * cond per cell for the direct form) decays with the solution
-    instead of putting a ~1e-13 floor under the distance to equilibrium.
+    sums: fsum itself on rows of at most _FSUM_CELLS cells, else _row_sums,
+    which gives them in a few numpy passes, each proved equal to fsum's bit
+    for bit or taken from fsum; one argmax per row bounds them and picks the
+    cells to move.  The sign test enters np.errstate only when a bound on
+    the largest cell does not rule out overflow, and every minimum or
+    maximum of a buffer is one argmin or argmax (_least, _most).  _diffuse
+    solves the species as one system of 3n rows with uncoupled blocks (bit
+    for bit as three), in increment form, (I - dt*d*L) delta = dt*d*L y1,
+    y2 = y1 + delta: the right-hand side vanishes as the field homogenises,
+    so solver rounding noise (eps * cond per cell for the direct form)
+    decays with the solution instead of putting a ~1e-13 floor under the
+    distance to equilibrium.
     The increment is projected to zero sum, as the exact solve's is, so each
     cell sum is kept to one rounding.  A cell at vacuum can be pushed
     slightly negative by rounding; such a species takes the direct solve
     instead (an M-matrix Cholesky factor never makes negative cells from
     nonnegative data), re-anchored to its sum in y1; one solve covers the
-    span that fell back.
+    span that fell back.  _settled accepts at once when no cell moved by
+    half the smallest allowed change, and divides cell by cell otherwise.
 
     An attempt calls reaction_rate once, laplacian_neumann once and
     cho_solve_banded (LAPACK dpbtrs, which checks nothing) once, twice on a
@@ -227,13 +250,17 @@ class _Workspace:
         self.nu = p.nu[:, None]
         self.d = p.diffusivities[:, None]
         self.alpha, self.beta, self.gamma = float(p.alpha), float(p.beta), float(p.gamma)
+        self.rate_scale = max(p.rate_factor, 1.0)
         self.anchors = masses_of(p, [math.fsum(f) for f in s0.y.tolist()]).tolist()
-        self._factors: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._factors: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray, float]] = {}
         self.y1, self.y2, self.change = np.empty((3,) + s0.y.shape)
+        self.rows1, self.rows2 = tuple(self.y1), tuple(self.y2)  # views, made once
+        self.cells1 = [memoryview(f) for f in self.rows1]  # what fsum reads fastest
+        self.flat2 = self.y2.reshape(-1)
         self.parts = np.empty((2,) + s0.y.shape)
 
-    def _scaled(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(factor, dt*nu, dt*d), built once per dt."""
+    def _scaled(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(factor, dt*nu, dt*d, quiet), built once per dt; _react proves quiet."""
         cached = self._factors.get(dt)
         if cached is None:
             dx = 1.0 / self.y1.shape[-1]
@@ -242,28 +269,46 @@ class _Workspace:
             ab[0, :, 1:] = -lam
             ab[1] = 1.0 + 2.0 * lam
             ab[1][:, [0, -1]] = 1.0 + lam
-            cached = cholesky_banded(ab.reshape(2, -1)), dt * self.nu, dt * self.d
+            # the largest cell up to which _react's sign test cannot overflow (proof there)
+            room = min(dt, 1.0) * 2.0**1000 / self.rate_scale
+            k = max(self.alpha + self.beta, self.gamma)
+            quiet = -1.0 if room < 1.0 else math.ldexp(1.0, math.floor(math.log2(room) / (k + 1)))
+            cached = cholesky_banded(ab.reshape(2, -1)), dt * self.nu, dt * self.d, quiet
             self._factors[dt] = cached
         return cached
 
     def _react(self, y: np.ndarray, dt: float) -> bool:
-        """Write the reaction update of y into y1; False if it overshoots or goes negative."""
+        """Write the reaction update of y >= 0 into y1; False if it overshoots or goes negative."""
         p, y1 = self.p, self.y1
+        _, dt_nu, _, quiet = self._scaled(dt)
         r = reaction_rate(p, *y)
-        np.add(y, np.multiply(self._scaled(dt)[1], r, out=y1), out=y1)
-        # A cell whose rate changes sign was carried past its reaction equilibrium.
-        # Tested before re-anchoring, whose rounding-sized gaps flip the sign at
-        # equilibrium; NaN and overflow are left to the test below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            r1 = _rate(p, *y1)  # a fresh array
-            if np.multiply(r1, r, out=r1).min() < 0.0:
-                return False
-        low = y1.min()
+        np.add(y, np.multiply(dt_nu, r, out=y1), out=y1)
+        low = _least(y1)
         if not low >= 0.0:  # written to fail on NaN, which compares false
             return False
         i, j, k = y1.argmax(axis=1).tolist()  # each row's first largest cell
         high = max(y1.item(0, i), y1.item(1, j), y1.item(2, k))
-        u_total, v_total, w_total = _row_sums(y1, low, high, self.parts)
+        # A cell whose rate changes sign was carried past its reaction equilibrium.
+        # Tested before re-anchoring, whose rounding-sized gaps flip the sign at
+        # equilibrium.  Every test here only rejects, so their order is free.
+        # The test cannot overflow or make a NaN when high <= quiet = 2^m >= 1, where
+        # m*(k+1) <= log2(min(dt, 1) * 2^1000 / c) up to log2's rounding, with
+        # k = max(alpha+beta, gamma), c = max(rate_factor, 1) and H = max(high, 1):
+        # - each power of a cell of y1, in [0, high], is at most H^k <= 2^1000, so
+        #   every factor of r1 is finite and |r1| <= c*H^k;
+        # - r is finite and |r| <= 4*H/dt: the species that grows (w for r > 0, u for
+        #   r < 0) starts >= 0 and gains fl(fl(dt*|nu_i|)*|r|) >= dt*|r|*(1 - eps)
+        #   - 2^-1075, as |nu_i| >= 1, yet ends <= high;
+        # - so |r1*r| <= 4*c*H^(k+1)/dt < 2^1003.
+        # Above quiet, overflow and NaN are ignored, as they always were.
+        with _QUIET if high <= quiet else np.errstate(over="ignore", invalid="ignore"):
+            r1 = _rate(p, *self.rows1)  # a fresh array
+            if _least(np.multiply(r1, r, out=r1)) < 0.0:
+                return False
+        if y1.shape[-1] <= _FSUM_CELLS:  # the sums _row_sums proves its bits against
+            u_total, v_total, w_total = map(math.fsum, self.cells1)
+        else:
+            u_total, v_total, w_total = _row_sums(y1, low, high, self.parts)
         m1, m2 = self.anchors
         # the test above passed every cell, and anchoring moves only each row's largest
         u = _anchor(y1[0], i, (m1 - self.alpha * w_total) / self.gamma, u_total)
@@ -272,10 +317,10 @@ class _Workspace:
 
     def _diffuse(self, dt: float) -> bool:
         """Write the diffusion of y1 over dt into y2; False if a cell ends negative."""
-        y1, y2, (factor, _, dt_d) = self.y1, self.y2, self._scaled(dt)
+        y1, y2, (factor, _, dt_d, _) = self.y1, self.y2, self._scaled(dt)
         rhs = laplacian_neumann(y1, out=y2)
         np.multiply(rhs, dt_d, out=rhs)
-        delta = cho_solve_banded(factor, rhs.reshape(-1)).reshape(rhs.shape)
+        delta = cho_solve_banded(factor, self.flat2).reshape(y2.shape)  # flat2 is rhs
         n = y1.shape[-1]
         mean = np.add.reduce(delta, axis=1) / n  # delta.mean(axis=1), without its wrappers
         # a non-finite mean makes the sum non-finite; a false alarm costs one rhs scan
@@ -283,33 +328,41 @@ class _Workspace:
             raise ValueError("diffusion right-hand side must not contain infs or NaNs")
         delta -= mean[:, None]
         np.add(y1, delta, out=y2)
-        if y2.min() >= 0.0:
+        if _least(y2) >= 0.0:
             return True
         fell_back = np.flatnonzero(~(y2.min(axis=1) >= 0.0))
         lo, hi = fell_back[0], fell_back[-1] + 1
         # those blocks' columns of the factor are their factor; y1 is finite, as L y1 was
         direct = cho_solve_banded(factor[:, lo * n:hi * n], y1[lo:hi].reshape(-1))
         for f, out, x in zip(y1[lo:hi], y2[lo:hi], direct.reshape(hi - lo, n)):
-            if not (out.min() >= 0.0):
+            if not (_least(out) >= 0.0):
                 out[:] = x
                 # fsum reads a memoryview fastest
                 _anchor(out, out.argmax(), math.fsum(memoryview(f)), math.fsum(memoryview(out)))
-        return bool(y2.min() >= 0.0)
+        return _least(y2) >= 0.0
 
     def attempt(self, s: State, dt: float, safety: float) -> State | None:
         """The state after one IMEX step of size dt from s, or None if rejected."""
         if dt <= 0:
             raise ValueError("dt must be > 0")
         y = s.y
-        if not (self._react(y, dt) and self._diffuse(dt)):
+        if not (self._react(y, dt) and self._diffuse(dt) and self._settled(y, safety)):
             return None
-        scale = y.max()
-        if scale > 0.0:
-            change = np.abs(np.subtract(self.y2, y, out=self.change), out=self.change)
-            floor = np.add(y, _REL_CHANGE_FLOOR * scale, out=self.y1)  # y1 is spent
-            if not (np.divide(change, floor, out=change).max() <= safety):
-                return None
-        return State(s.t + dt, *self.y2)
+        return State(s.t + dt, *self.rows2)
+
+    def _settled(self, y: np.ndarray, safety: float) -> bool:
+        """Whether no cell of y2 moved from y >= 0 by over safety*(y + _REL_CHANGE_FLOOR*max(y))."""
+        scale = _most(y)
+        if not scale > 0.0:
+            return True
+        change = np.abs(np.subtract(self.y2, y, out=self.change), out=self.change)
+        c = _REL_CHANGE_FLOOR * scale
+        # every floor cell fl(y + c) is >= c, so a change below fl(fl(safety*c)/2) gives
+        # a quotient below safety, also where the halving rounds; a c of 0 never passes
+        if _most(change) < safety * c * 0.5:
+            return True
+        floor = np.add(y, c, out=self.y1)  # y1 is spent
+        return _most(np.divide(change, floor, out=change)) <= safety
 
 
 def cho_solve_banded(factor: np.ndarray, b: np.ndarray) -> np.ndarray:

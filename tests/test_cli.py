@@ -423,6 +423,17 @@ class TestFitRate:
         with pytest.raises(ValueError, match=re.escape("value is NaN at t = 0.5")):
             fit_rate([(0.0, math.inf), (0.5, math.nan), (1.0, 0.2), (2.0, 0.1)])
 
+    def test_an_infinite_value_stays_out_of_the_fallback_fit(self):
+        # no point lies below 0.1 * first, so the fit falls back; it used to keep the
+        # inf and return NaNs with a numpy warning (any warning fails this suite)
+        fit = fit_rate([(0.0, 1.0), (1.0, math.inf), (2.0, 0.5), (3.0, 0.4)])
+        assert all(map(math.isfinite, fit))
+        assert fit == fit_rate([(0.0, 1.0), (2.0, 0.5), (3.0, 0.4)])
+
+    def test_an_infinite_value_does_not_count_as_qualifying(self):
+        with pytest.raises(ValueError, match=re.escape("need 3 finite above 1e-14")):
+            fit_rate([(0.0, math.inf), (1.0, 0.5), (2.0, 0.4)])
+
     @pytest.mark.parametrize("series", [[], [1.0, 2.0, 3.0], [(0.0, 1.0, 2.0)]])
     def test_series_must_be_pairs(self, series):
         with pytest.raises(ValueError, match=re.escape("series must be pairs (t, value)")):
@@ -579,6 +590,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert f"argument --r2-min: must be a finite number <= 1, got '{r2_min}'" in err
         assert not out.exists()  # 0.99 passes: test_simulate_validate_fit_pipeline
+
+    def test_fit_rate_fits_past_an_infinite_value(self, tmp_path, capsys):
+        path, report = tmp_path / "run.csv", tmp_path / "fit.txt"
+        e_rel = {0.0: "1.0", 1.0: "inf", 2.0: "0.5", 3.0: "0.4"}
+        rows = [",".join(value if col == "E_rel" else str(t) if col == "t" else "1.0"
+                         for col in CSV_COLUMNS) for t, value in e_rel.items()]
+        path.write_text("\n".join([",".join(CSV_COLUMNS), *rows]) + "\n")
+        main(["fit-rate", "--csv", str(path), "--out", str(report)])
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL fit-rate K_fit=0.311") and "nan" not in out.lower()
+        assert "nan" not in report.read_text().lower()
 
     def test_verify_eed_never_reports_nan(self, tmp_path, capsys):
         out = tmp_path / "r.txt"

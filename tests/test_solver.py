@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,13 @@ def vacuum_blocks(n):
     """u on the left half, v on the right half, no w."""
     x = Grid1D(n).cell_centers()
     return State(0.0, np.where(x < 0.5, 2.0, 0.0), np.where(x >= 0.5, 2.0, 0.0), np.zeros(n))
+
+
+def mixed_start(n):
+    """A start with a bump in u, a step in v and a ramp in w."""
+    x = Grid1D(n).cell_centers()
+    u = 1.0 + 0.5 * np.cos(np.pi * x) + np.where(x < 0.5, 2.0, 0.0)
+    return State(0.0, u, np.where(x >= 0.5, 3.0, 0.1), 0.2 * x)
 
 
 def rk4_homogeneous(y0, t_end, dt, alpha=1.0, beta=1.0, gamma=1.0):
@@ -436,6 +445,32 @@ class TestWorkspace:
         assert calls["cho_solve_banded"] > calls["laplacian_neumann"]  # direct-solve fallbacks
         assert digest == pinned
 
+    # rows and final state of these runs as computed before the small-grid fsum, the
+    # sign test's quiet bound and the change test's short cut (numpy 2.4.6, scipy 1.17.1)
+    @pytest.mark.parametrize("n,p,cfg,pinned", [
+        (4, ReactionParams(1, 1, 1, d1=1.0, d2=2.0, d3=3.0),
+         StepConfig(dt_init=0.5, t_end=2.0, safety=1.0, record_every=3),
+         "cd3ab5353e5e9d1c0594ff687a5a374d3eae30ceeea8baf3a5a540e99f10e8f5"),
+        (32, ReactionParams(2, 1, 3, d1=1.0, d2=0.1, d3=0.01),
+         StepConfig(dt_init=0.2, t_end=1.0, safety=0.5, record_every=4),
+         "ce0d66ff35b71ce1e95eb2fe9976482ddf16893db6aee2d7b6bb2d8a13455c30"),
+    ])
+    def test_small_grids_with_overshoots_repeat_the_pinned_bits(self, monkeypatch, n, p, cfg,
+                                                                 pinned):
+        react, overshoots = solver._Workspace._react, []
+
+        def counted(workspace, y, dt):
+            ok = react(workspace, y, dt)
+            # rejected with no negative cell: the rate changed sign (an overshoot)
+            overshoots.append(not ok and workspace.y1.min() >= 0.0)
+            return ok
+
+        monkeypatch.setattr(solver._Workspace, "_react", counted)
+        traj = run(p, mixed_start(n), cfg)
+        rows = np.array([dataclasses.astuple(r) for r in traj.rows])
+        assert any(overshoots)
+        assert hashlib.sha256(rows.tobytes() + traj.final.y.tobytes()).hexdigest() == pinned
+
 
 class TestSubsteps:
     """Each substep of an attempt keeps its own invariants, tested without the other."""
@@ -454,6 +489,86 @@ class TestSubsteps:
             for m, anchor in zip(masses_of(p, totals), workspace.anchors):
                 assert abs(m - anchor) <= 1e-11 * abs(anchor)
             assert workspace.y1.min() >= 0.0
+
+    @staticmethod
+    def _react_recorded(p, s, dt, loud=False):
+        """_react's outcome, y1 and warnings; loud: the sign test always in np.errstate,
+        as it used to be."""
+        workspace = solver._Workspace(p, s)
+        quiet = np.errstate(over="ignore", invalid="ignore") if loud else solver._QUIET
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(solver, "_QUIET", quiet):
+            warnings.simplefilter("always")
+            ok = workspace._react(s.y, dt)
+        return ok, workspace.y1.tobytes(), [(w.category, str(w.message)) for w in caught]
+
+    @pytest.mark.parametrize("overshoot", [False, True])
+    @pytest.mark.parametrize("side", [-1.0, 0.0, 1.0])  # high just below, at, just above quiet
+    def test_sign_test_skips_errstate_only_up_to_the_quiet_bound(self, monkeypatch, side,
+                                                                 overshoot):
+        dt, p = 1e-12, ReactionParams(1, 1, 1)
+        quiet = solver._Workspace(p, homogeneous_state(4, 1, 1, 1))._scaled(dt)[3]
+        high = quiet if side == 0.0 else np.nextafter(quiet, side * math.inf)
+        # cell 0 holds high with a zero rate; at w = 4e24, u1 = v1 = 4e12 reverse the rate
+        y = np.array([[high, 1.0, 1.0, 0.0], [0.0, 1.0, 2.0, 0.0],
+                      [0.0, 0.5, 1.0, 4e24 if overshoot else 1.0]])
+        s = State(0.0, *y)
+        entries, errstate = [], np.errstate
+
+        def counted(**kwargs):
+            entries.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok = solver._Workspace(p, s)._react(s.y, dt)
+        assert len(entries) == (side > 0.0)
+        assert ok is not overshoot
+        assert self._react_recorded(p, s, dt) == self._react_recorded(p, s, dt, loud=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponents=st.tuples(*[st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 5.0])] * 3),
+           ell=st.floats(1e-300, 1e300),
+           cells=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e300)), min_size=12,
+                          max_size=12),
+           dt=st.floats(1e-300, 10.0))
+    # r1 * r overflows while y1 stays in [0, high]: above the bound, and above it only
+    # through the rate factor (1e150 here)
+    @example(exponents=(1.0, 1.0, 2.0), ell=1.0, cells=[1e154] * 8 + [0.99e154] * 4, dt=1e-200)
+    @example(exponents=(1.0, 1.0, 2.0), ell=1e300, cells=[1e16] * 8 + [0.99e16] * 4, dt=1e-250)
+    def test_sign_test_warns_as_the_errstate_form_does(self, exponents, ell, cells, dt):
+        # ell enters only as the rate factor of alpha + beta == gamma
+        p = ReactionParams(*exponents, ell=ell)
+        s = State(0.0, *np.reshape(cells, (3, 4)))
+        assert self._react_recorded(p, s, dt) == self._react_recorded(p, s, dt, loud=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(exponent=st.integers(-1080, 1000),
+           cells=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=6, max_size=6),
+           moves=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+           safety=st.floats(0.0, 1.0, exclude_min=True))
+    @example(exponent=-1074, cells=[1.0, 0.0, 0.5, 0.0, 0.0, 0.0], moves=[0.5] * 6, safety=1.0)
+    @example(exponent=0, cells=[1.0, 0.0, 0.5, 0.0, 0.0, 0.0], moves=[0.4999999] * 6,
+             safety=5e-324)
+    def test_change_short_cut_accepts_only_what_the_divide_test_accepts(self, exponent, cells,
+                                                                        moves, safety):
+        y = np.reshape(cells, (3, 2)) * 2.0**exponent  # scales down to subnormal
+        c = solver._REL_CHANGE_FLOOR * y.max()
+        y2 = np.abs(y + np.reshape(moves, (3, 2)) * (safety * c))  # near the short cut's edge
+        workspace = solver._Workspace(ReactionParams(), State(0.0, *y))
+        workspace.y2[:] = y2
+        with np.errstate(divide="ignore", invalid="ignore"):  # c = 0 divides 0 by 0, as before
+            settled = workspace._settled(y, safety)
+            full = not y.max() > 0.0 or (np.abs(y2 - y) / (y + c)).max() <= safety
+        assert settled == full
+
+    def test_change_short_cut_leaves_y1_alone(self):
+        s = homogeneous_state(8, 1, 2, 3)
+        workspace = solver._Workspace(ReactionParams(), s)
+        workspace.y1[:], workspace.y2[:] = -1.0, s.y
+        assert workspace._settled(s.y, 0.2)
+        assert (workspace.y1 == -1.0).all()  # no floor was written: the short cut decided
 
     def test_react_rejects_an_overshoot(self):
         # R = 1 at (1, 1, 0); dt = 0.9 lands on (0.1, 0.1, 0.9), where R < 0
