@@ -52,6 +52,19 @@ _FSUM_CELLS = 64  # up to this many cells, math.fsum's loop costs no more than _
 
 _QUIET = contextlib.nullcontext()  # the sign test's context when no overflow is possible
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _real_field(name: str, f) -> np.ndarray:
+    """f as a float64 array; ValueError naming it unless it holds ints or floats."""
+    try:
+        a = np.asarray(f)
+    except ValueError as e:  # a ragged list
+        raise ValueError(f"{name} must be an array of real numbers: {e}") from None
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    return a.astype(_FLOAT64, copy=False)
+
 
 class StepUnderflowError(RuntimeError):
     """Adaptive dt fell below dt_min; the state resists the explicit reaction."""
@@ -62,19 +75,28 @@ class State:
     """Concentrations at one instant, or S instants stacked.
 
     y holds u, v and w as its rows: shape (3, n) for fields of shape (n,),
-    (S, 3, n) for (S, n) fields.  u, v and w are views of those rows.
+    (S, 3, n) for (S, n) fields.  u, v and w are views of those rows.  Fields
+    of ints or floats, lists too, are converted to float64; any other field
+    raises ValueError naming it.
     """
 
     t: float
     y: np.ndarray
 
     def __init__(self, t: float, u, v, w):
+        fields = u, v, w
+        try:  # float64 arrays, the fields of every state a run makes, cost three reads here
+            real = u.dtype is v.dtype is w.dtype is _FLOAT64
+        except AttributeError:
+            real = False
+        if not real:
+            fields = u, v, w = [_real_field(name, f) for name, f in zip("uvw", fields)]
         if not (u.shape == v.shape == w.shape):
             raise ValueError("u, v, w must share one grid")
-        object.__setattr__(self, "t", t)
+        attrs = self.__dict__  # frozen, yet writable here, and faster than object.__setattr__
+        attrs["t"] = t
         # one copy; np.array of one state's rows costs half np.stack's call (once per step)
-        fields = (u, v, w)
-        object.__setattr__(self, "y", np.array(fields) if u.ndim == 1 else np.stack(fields, -2))
+        attrs["y"] = np.array(fields) if u.ndim == 1 else np.stack(fields, -2)
 
     u = property(lambda self: self.y[..., 0, :])
     v = property(lambda self: self.y[..., 1, :])
@@ -240,9 +262,17 @@ class _Workspace:
     span that fell back.  _settled accepts at once when no cell moved by
     half the smallest allowed change, and divides cell by cell otherwise.
 
-    An attempt calls reaction_rate once, laplacian_neumann once and
-    cho_solve_banded (LAPACK dpbtrs, which checks nothing) once, twice on a
-    fallback, each looked up at call time.  Inf or NaN data raise ValueError.
+    A run can reach a bitwise fixed point: a step whose y2 has y's bytes.
+    _settled then keeps (dt, safety, those bytes) in still, and a repeat of
+    them returns y2 untouched.  That is exact, as an attempt depends only on
+    y's bits, dt, safety and the workspace's constants (anchors; per dt the
+    factor, dt*nu, dt*d, quiet), and a computing attempt forgets still before
+    it writes y2.  Bytes, not objects: a caller may change a state in place.
+
+    An attempt that computes calls reaction_rate once, laplacian_neumann once
+    and cho_solve_banded (LAPACK dpbtrs, which checks nothing) once, twice on
+    a fallback, each looked up at call time; every accepted one, a repeat too,
+    calls State once.  Inf or NaN data raise ValueError.
     """
 
     def __init__(self, p: ReactionParams, s0: State):
@@ -258,6 +288,7 @@ class _Workspace:
         self.cells1 = [memoryview(f) for f in self.rows1]  # what fsum reads fastest
         self.flat2 = self.y2.reshape(-1)
         self.parts = np.empty((2,) + s0.y.shape)
+        self.still: tuple[float, float, bytes] | None = None  # see the class docstring
 
     def _scaled(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """(factor, dt*nu, dt*d, quiet), built once per dt; _react proves quiet."""
@@ -346,11 +377,13 @@ class _Workspace:
         if dt <= 0:
             raise ValueError("dt must be > 0")
         y = s.y
-        if not (self._react(y, dt) and self._diffuse(dt) and self._settled(y, safety)):
-            return None
-        return State(s.t + dt, *self.rows2)
+        if self.still is None or self.still != (dt, safety, y.tobytes()):
+            self.still = None
+            if not (self._react(y, dt) and self._diffuse(dt) and self._settled(y, dt, safety)):
+                return None
+        return State(s.t + dt, *self.rows2)  # on a repeat, y2 still holds y's bytes
 
-    def _settled(self, y: np.ndarray, safety: float) -> bool:
+    def _settled(self, y: np.ndarray, dt: float, safety: float) -> bool:
         """Whether no cell of y2 moved from y >= 0 by over safety*(y + _REL_CHANGE_FLOOR*max(y))."""
         scale = _most(y)
         if not scale > 0.0:
@@ -359,7 +392,10 @@ class _Workspace:
         c = _REL_CHANGE_FLOOR * scale
         # every floor cell fl(y + c) is >= c, so a change below fl(fl(safety*c)/2) gives
         # a quotient below safety, also where the halving rounds; a c of 0 never passes
-        if _most(change) < safety * c * 0.5:
+        moved = _most(change)
+        if moved < safety * c * 0.5:
+            if moved == 0.0 and (bits := y.tobytes()) == self.y2.tobytes():
+                self.still = dt, safety, bits  # a fixed point: attempt answers its repeats
             return True
         floor = np.add(y, c, out=self.y1)  # y1 is spent
         return _most(np.divide(change, floor, out=change)) <= safety

@@ -24,6 +24,8 @@ from revreact.solver import (
     z_linf,
 )
 
+from plain_imex import PlainUnderflow, plain_steps  # tests/plain_imex.py
+
 
 def step_imex(p, s, dt):
     return solver._Workspace(p, s).attempt(s, dt, 0.2)
@@ -85,6 +87,25 @@ class TestStateLayout:
     def test_mismatched_shapes_raise(self):
         with pytest.raises(ValueError, match="u, v, w must share one grid"):
             State(0.0, np.ones(4), np.ones(4), np.ones(5))
+
+    @pytest.mark.parametrize("field", [[1, 2, 3], np.arange(3), np.arange(3, dtype=np.uint8),
+                                       np.arange(3, dtype=np.float32), np.arange(3.0)[::-1]])
+    def test_real_fields_convert_to_float64(self, field):
+        for k in range(3):
+            fields = [np.ones(3)] * 3
+            fields[k] = field
+            s = State(0.0, *fields)
+            assert s.y.dtype == np.float64 and s.y.flags.c_contiguous
+            np.testing.assert_array_equal(s.y[k], np.asarray(field, dtype=float))
+
+    @pytest.mark.parametrize("field", [np.ones(3, complex), np.ones(3, bool), np.ones(3, object),
+                                       np.array(["1", "2", "3"]), [1.0, [2.0], 3.0], "abc"])
+    def test_fields_that_are_not_real_numbers_raise_naming_the_field(self, field):
+        for k, name in enumerate("uvw"):
+            fields = [np.ones(3)] * 3
+            fields[k] = field
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                State(0.0, *fields)
 
     def test_min_concentration_reduces_each_state_of_a_stack(self):
         u, v, w = np.array([[[3.0, 4.0], [1.0, 9.0]], [[2.0, 6.0], [8.0, 8.0]],
@@ -472,6 +493,92 @@ class TestWorkspace:
         assert hashlib.sha256(rows.tobytes() + traj.final.y.tobytes()).hexdigest() == pinned
 
 
+def random_start(n, seed, vacuum):
+    """Cells uniform in [0, 3), each set to 0 with probability vacuum."""
+    rng = np.random.default_rng(seed)
+    return State(0.0, *(rng.uniform(0.0, 3.0, (3, n)) * (rng.random((3, n)) >= vacuum)))
+
+
+def fast_and_plain(p, s0, cfg):
+    """The (t, dt, y bytes) sequences of steps() and of the plain stepper, and where each
+    raised its underflow error (None if it reached t_end)."""
+    def collect(accepted, error):
+        out = []
+        try:
+            for t, dt, y in accepted:
+                out.append((t, dt, y.tobytes()))
+        except error as e:
+            return out, getattr(e, "t", out[-1][0] if out else 0.0)
+        return out, None
+
+    return (collect(((s.t, dt, s.y) for s, dt in steps(p, s0, cfg)), StepUnderflowError),
+            collect(plain_steps(p, s0.y, cfg), PlainUnderflow))
+
+
+class TestPlainSpecification:
+    """steps() makes the plain stepper's run (tests/plain_imex.py) bit for bit, including the
+    steps it answers from a fixed point without computing them."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        exponents=st.tuples(*[st.integers(1, 3)] * 3),
+        d=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+        n=st.sampled_from([2, 3, 4, 17, 64, 65, 96]),  # both sides of _FSUM_CELLS
+        seed=st.integers(0, 2**32 - 1),
+        vacuum=st.sampled_from([0.0, 0.3, 0.7]),
+        dt_init=st.sampled_from([1e-2, 5e-2, 0.2]),
+        safety=st.sampled_from([0.2, 1.0]),
+        t_end=st.sampled_from([0.5, 10.0]),
+        dt_min=st.sampled_from([1e-12, 1e-6, 1e-3]),  # the larger ones make runs underflow
+    )
+    # runs that reach a bitwise fixed point, at steps 204 and 127
+    @example(exponents=(2, 3, 2), d=(3.0, 1.0, 0.5), n=2, seed=0, vacuum=0.3, dt_init=0.05,
+             safety=1.0, t_end=10.0, dt_min=1e-12)
+    @example(exponents=(1, 3, 3), d=(2.0, 1.0, 1.0), n=3, seed=5, vacuum=0.3, dt_init=0.2,
+             safety=1.0, t_end=10.0, dt_min=1e-12)
+    def test_steps_equal_the_plain_stepper_bit_for_bit(self, exponents, d, n, seed, vacuum,
+                                                        dt_init, safety, t_end, dt_min):
+        p = ReactionParams(*exponents, d1=d[0], d2=d[1], d3=d[2])
+        cfg = StepConfig(dt_init=dt_init, dt_min=dt_min, safety=safety, t_end=t_end)
+        fast, plain = fast_and_plain(p, random_start(n, seed, vacuum), cfg)
+        assert fast == plain
+
+    def test_reference_run_equals_the_plain_stepper_through_its_fixed_point(self, monkeypatch):
+        p = ReactionParams(1, 1, 1, d1=1.0, d2=2.0, d3=3.0)
+        x = Grid1D(200).cell_centers()
+        s0 = State(0.0, 2.0 * (1.0 - np.cos(2.0 * np.pi * x)), np.full(200, 2.0), np.zeros(200))
+        calls = []
+        monkeypatch.setattr(solver, "reaction_rate",
+                            lambda *args: calls.append(1) or reaction_rate(*args))
+        (fast, fast_end), (plain, plain_end) = fast_and_plain(p, s0, StepConfig(dt_init=1e-2,
+                                                                                t_end=20.0))
+        assert fast == plain and fast_end is plain_end is None
+        assert len(fast) == 2061
+        # step 1200 returns its input, which stays put to t_end; 860 of the steps from there
+        # on are answered from the remembered fixed point, never computed
+        assert fast[1197][2] != fast[1198][2] == fast[-1][2]
+        assert len(calls) == 2068 - 860
+
+    def test_a_fixed_point_changed_in_place_is_stepped_from_its_new_data(self):
+        p = ReactionParams(2, 3, 2, d1=3.0, d2=2.0, d3=2.0)
+        s0 = random_start(4, 2, 0.3)
+        cfg = StepConfig(dt_init=0.05, safety=1.0, t_end=10.0)
+        fast, plain = steps(p, s0, cfg), plain_steps(p, s0.y, cfg)
+        previous, changed = None, None
+        for (s, dt), (t, plain_dt, y) in zip(fast, plain):
+            assert (s.t, dt, s.y.tobytes()) == (t, plain_dt, y.tobytes())
+            if changed is not None:
+                assert s.y.tobytes() != changed  # stepped from the changed data
+                break
+            if s.y.tobytes() == previous:  # a fixed point, remembered by the run
+                for z in (s.y, y):
+                    z[0, 0] *= 0.5
+                    z[2, 3] += 0.25
+                changed = s.y.tobytes()
+            previous = s.y.tobytes()
+        assert changed is not None
+
+
 class TestSubsteps:
     """Each substep of an attempt keeps its own invariants, tested without the other."""
 
@@ -559,7 +666,7 @@ class TestSubsteps:
         workspace = solver._Workspace(ReactionParams(), State(0.0, *y))
         workspace.y2[:] = y2
         with np.errstate(divide="ignore", invalid="ignore"):  # c = 0 divides 0 by 0, as before
-            settled = workspace._settled(y, safety)
+            settled = workspace._settled(y, 0.01, safety)
             full = not y.max() > 0.0 or (np.abs(y2 - y) / (y + c)).max() <= safety
         assert settled == full
 
@@ -567,8 +674,9 @@ class TestSubsteps:
         s = homogeneous_state(8, 1, 2, 3)
         workspace = solver._Workspace(ReactionParams(), s)
         workspace.y1[:], workspace.y2[:] = -1.0, s.y
-        assert workspace._settled(s.y, 0.2)
+        assert workspace._settled(s.y, 0.01, 0.2)
         assert (workspace.y1 == -1.0).all()  # no floor was written: the short cut decided
+        assert workspace.still == (0.01, 0.2, s.y.tobytes())  # y2 is y: a fixed point
 
     def test_react_rejects_an_overshoot(self):
         # R = 1 at (1, 1, 0); dt = 0.9 lands on (0.1, 0.1, 0.9), where R < 0
