@@ -25,11 +25,14 @@ print(f"rescaled diffusivities: ({rep.rescaled.d1}, {rep.rescaled.d2}, {rep.resc
 q = undo_rescale(rep)
 print(f"round trip recovers ell={q.ell:.15g}, k={q.k:.15g}")
 
-p_deg = ReactionParams(1, 2, 3, ell=8.0, k=1.0)
+p_deg = ReactionParams(1, 2, 3, ell=4.0, k=4.0)
 rep_deg = rescale_params(p_deg)
-print(f"\nwhen alpha+beta == gamma the rates survive only as the ratio "
-      f"(ell/k)^(1/gamma) = {rep_deg.third_equation_factor}")
-print("(pass the original parameters to the solver; rate_factor reapplies it)")
+print(f"\nwhen alpha+beta == gamma only time rescales: ell = k = 4 gives "
+      f"time={rep_deg.time_factor}, concentration={rep_deg.concentration_factor}")
+try:
+    rescale_params(ReactionParams(1, 2, 3, ell=8.0, k=1.0))
+except ValueError as exc:
+    print(f"and ell != k has no normalised system: {exc}")
 
 print("\n=== 2. equilibria across stoichiometries ===")
 cases = [

@@ -46,8 +46,6 @@ CONFIG_KEYS = {
     "alpha": (float, ReactionParams, "stoichiometric exponent of u (>= 1)"),
     "beta": (float, ReactionParams, "stoichiometric exponent of v (>= 1)"),
     "gamma": (float, ReactionParams, "stoichiometric exponent of w (>= 1)"),
-    "ell": (float, ReactionParams, "forward rate (> 0; 1 unless alpha+beta == gamma)"),
-    "k": (float, ReactionParams, "backward rate (> 0; 1 unless alpha+beta == gamma)"),
     "d1": (float, ReactionParams, "diffusivity of u (> 0)"),
     "d2": (float, ReactionParams, "diffusivity of v (> 0)"),
     "d3": (float, ReactionParams, "diffusivity of w (> 0)"),
@@ -73,16 +71,17 @@ CONFIG_KEYS = {
 
 # subcommand -> the config keys it reads; any other key is rejected.  Every one reads the
 # exponents and the initial profiles, from which m1, m2 are derived when not set.  Only
-# simulate and verify-eed read the rates and diffusivities: they enter only the evolution and D.
+# simulate and verify-eed read the diffusivities: they enter only the evolution and D.  No
+# command reads a rate: every one runs the normalised system ell = k = 1.
 COMMAND_KEYS = {
     command: ("alpha", "beta", "gamma", "n_cells", "u_profile", "v_profile", "w_profile",
               "u_amplitude", "v_amplitude", "w_amplitude") + extra
     for command, extra in {
-        "simulate": ("ell", "k", "d1", "d2", "d3", "dt_init", "dt_min", "safety", "t_end",
+        "simulate": ("d1", "d2", "d3", "dt_init", "dt_min", "safety", "t_end",
                      "record_every", "out"),
         "equilibrium": ("m1", "m2"),
         "scan": ("m1", "m2", "n_grid", "out"),
-        "verify-eed": ("ell", "k", "d1", "d2", "d3", "m1", "m2", "n_samples", "seed", "out"),
+        "verify-eed": ("d1", "d2", "d3", "m1", "m2", "n_samples", "seed", "out"),
         "verify-ck": ("m1", "m2", "n_samples", "seed", "out"),
     }.items()
 }
@@ -109,8 +108,6 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        # the commands run the normalised system; rescale_params is library-only
-        self.params.require_normalised("the config")
         for key in ("u_profile", "v_profile", "w_profile"):
             if getattr(self, key) not in PROFILES:
                 raise ValueError(f"{key} must be one of {', '.join(PROFILES)}, "

@@ -98,7 +98,7 @@ def dissipation(p: ReactionParams, s: "State", e: Equilibrium) -> EntropyReport:
     a = stoich_pow(s.u, p.alpha) * stoich_pow(s.v, p.beta)
     b = stoich_pow(s.w, p.gamma)
     r = reaction_dissipation_density(a, b)
-    reaction = p.rate_factor * integrate(r)
+    reaction = integrate(r)
     return EntropyReport(
         E=entropy(s),
         E_rel=relative_entropy(s, e),

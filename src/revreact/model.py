@@ -4,8 +4,11 @@ The model is the reversible mass-action reaction  a*U + b*V <-> c*W  with
 stoichiometric exponents (alpha, beta, gamma), forward/backward rates
 (ell, k) and one diffusivity per species, posed on the normalised interval
 [0,1] with no-flux boundaries: dc/dt - D*Laplace(c) = nu*R(c) for
-c = (u, v, w) and nu = (-alpha, -beta, gamma).  The two weights orthogonal
-to nu give the conserved masses
+c = (u, v, w), nu = (-alpha, -beta, gamma) and R = u^alpha v^beta - w^gamma.
+Runs, dissipation and equilibria take normalised rates ell = k = 1 only;
+rescale_params maps general rates to that system by rescaling time and
+concentration, which needs ell = k when alpha + beta == gamma.  The two
+weights orthogonal to nu give the conserved masses
 
     M1 = integral(gamma*u + alpha*w),    M2 = integral(gamma*v + beta*w).
 
@@ -87,25 +90,12 @@ class ReactionParams:
         """(d1, d2, d3), one diffusivity per species."""
         return np.array([self.d1, self.d2, self.d3], dtype=float)
 
-    @property
-    def rate_factor(self) -> float:
-        """Residual multiplier on the normalised reaction rate.
-
-        When alpha + beta == gamma the rates cannot be scaled away; the
-        normalised rate u^alpha v^beta - w^gamma keeps the documented
-        common factor (ell/k)^(1/gamma).  It is 1 in every other case
-        (where the system is expected to be pre-normalised).
-        """
-        if self.alpha + self.beta == self.gamma:
-            return (self.ell / self.k) ** (1.0 / self.gamma)
-        return 1.0
-
     def require_normalised(self, where: str) -> None:
-        """Raise, naming ell or k, unless rates are 1 or absorbed into rate_factor."""
-        if self.alpha + self.beta != self.gamma and (self.ell, self.k) != (1.0, 1.0):
+        """Raise, naming ell or k, unless both rates are 1 (see rescale_params)."""
+        if (self.ell, self.k) != (1.0, 1.0):
             key = "ell" if self.ell != 1.0 else "k"
-            raise ValueError(f"{where} expects normalised rates: {key} must be 1 unless "
-                             f"alpha + beta == gamma, got {getattr(self, key)!r}")
+            raise ValueError(f"{where} expects normalised rates: {key} must be 1, "
+                             f"got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -158,14 +148,11 @@ class RescaleReport:
     The transformation maps a solution (u, v, w)(t, x) of the original
     system to (u, v, w)(t*time_factor, x)/concentration_factor solving the
     normalised one; diffusivities pick up time_factor (the domain is [0, 1],
-    so space needs no scaling).  When alpha + beta == gamma no such
-    factors exist and the leftover (ell/k)^(1/gamma) is reported in
-    third_equation_factor instead (1.0 otherwise).
+    so space needs no scaling).
     """
 
     time_factor: float
     concentration_factor: float
-    third_equation_factor: float
     rescaled: ReactionParams
 
 
@@ -177,20 +164,23 @@ def rescale_params(p: ReactionParams) -> RescaleReport:
         concentration_factor = (k/ell)^(1/(alpha+beta-gamma))
         time_factor          = (k/ell)^((1-gamma)/(alpha+beta-gamma)) / k
 
-    and the rescaled diffusivities are d_i * time_factor.
-    For alpha + beta == gamma only the residual third_equation_factor
-    (ell/k)^(1/gamma) remains; it multiplies the normalised rate during
-    time stepping (see solver.reaction_rate).
+    and the rescaled diffusivities are d_i * time_factor.  For alpha + beta
+    == gamma a concentration scale leaves ell/k unchanged, so only ell == k
+    can be normalised, by time_factor = 1/k alone; other rates raise
+    ValueError naming ell and k.
     """
-    conc = time = 1.0  # alpha + beta == gamma: ell/k cannot be scaled away (see rate_factor)
-    if p.alpha + p.beta != p.gamma:
+    conc, time = 1.0, 1.0 / p.k
+    if p.alpha + p.beta == p.gamma:
+        if p.ell != p.k:
+            raise ValueError(f"ell and k must be equal when alpha + beta == gamma, as no "
+                             f"rescaling changes ell/k there, got ell={p.ell!r}, k={p.k!r}")
+    else:
         expo = p.alpha + p.beta - p.gamma
         conc = (p.k / p.ell) ** (1.0 / expo)
         time = (p.k / p.ell) ** ((1.0 - p.gamma) / expo) / p.k
     return RescaleReport(
         time_factor=time,
         concentration_factor=conc,
-        third_equation_factor=p.rate_factor,
         rescaled=ReactionParams(
             p.alpha, p.beta, p.gamma, 1.0, 1.0, p.d1 * time, p.d2 * time, p.d3 * time,
         ),
@@ -216,7 +206,8 @@ def compute_equilibrium(p: ReactionParams, m: MassPair) -> Equilibrium:
     the right side strictly increasing, so plain bisection cannot fail; it
     stops when the bracket is 1e-14 wide, relative to its upper end below 1,
     or has no double inside: within 2200 halvings, as 2^1024 / 2^-1074 is 2^2098.
-    A c_inf that underflows to 0 raises ValueError naming the masses and exponents.
+    A c_inf that underflows to 0, or a balance law that overflows (a residual
+    that is not finite), raises ValueError naming the masses and exponents.
     """
     p.require_normalised("compute_equilibrium")
     lo = 0.0
@@ -243,25 +234,20 @@ def compute_equilibrium(p: ReactionParams, m: MassPair) -> Equilibrium:
     c = 0.5 * (lo + hi)
     a = (m.m1 - p.alpha * c) / p.gamma
     b = (m.m2 - p.beta * c) / p.gamma
-    if not c > 0.0:  # a or b may round to 0 beside masses far above 1; c only underflows
+    residual = abs(_balance_defect(p, m, c))
+    if not (c > 0.0 and math.isfinite(residual)):
+        if not c > 0.0:  # a or b may round to 0 beside masses far above 1; c only underflows
+            problem = f"an equilibrium with a zero component: c_inf underflows to {c!r}"
+        else:
+            problem = f"a balance law a^alpha b^beta = c^gamma that overflows ({residual!r})"
         raise ValueError(f"m1={m.m1!r}, m2={m.m2!r} with alpha={p.alpha!r}, beta={p.beta!r}, "
-                         f"gamma={p.gamma!r} give an equilibrium with a zero component: "
-                         f"c_inf underflows to {c!r}")
-    return Equilibrium(a_inf=a, b_inf=b, c_inf=c, residual=abs(_balance_defect(p, m, c)))
+                         f"gamma={p.gamma!r} give {problem}")
+    return Equilibrium(a_inf=a, b_inf=b, c_inf=c, residual=residual)
 
 
 def undo_rescale(r: RescaleReport) -> ReactionParams:
-    """Invert a rescale report, recovering the original parameters.
-
-    Unavailable when alpha + beta == gamma: there the rates are determined
-    only up to the common third_equation_factor.
-    """
+    """Invert a rescale report, recovering the original parameters."""
     p = r.rescaled
-    if p.alpha + p.beta == p.gamma:
-        raise ValueError(
-            "rates are determined only up to a common factor when "
-            "alpha + beta == gamma"
-        )
     k = r.concentration_factor ** (1.0 - p.gamma) / r.time_factor
     ell = k / r.concentration_factor ** (p.alpha + p.beta - p.gamma)
     time = r.time_factor

@@ -164,16 +164,11 @@ class Trajectory:
 
 
 def reaction_rate(p: ReactionParams, u, v, w):
-    """Normalised net forward rate R = u^alpha v^beta - w^gamma.
+    """Normalised net forward rate R = u^alpha v^beta - w^gamma, for ell = k = 1.
 
-    R > 0 drives the forward reaction (u, v consumed, w produced).  When
-    alpha + beta == gamma the leftover rate ratio multiplies R (see
-    ReactionParams.rate_factor); otherwise the parameters are expected to
-    be pre-normalised to ell = k = 1.
+    R > 0 drives the forward reaction (u, v consumed, w produced).
     """
-    r = stoich_pow(u, p.alpha) * stoich_pow(v, p.beta) - stoich_pow(w, p.gamma)
-    factor = p.rate_factor
-    return r * factor if factor != 1.0 else r
+    return stoich_pow(u, p.alpha) * stoich_pow(v, p.beta) - stoich_pow(w, p.gamma)
 
 
 _rate = reaction_rate  # the overshoot test's alias: hooks count calls to reaction_rate
@@ -280,7 +275,6 @@ class _Workspace:
         self.nu = p.nu[:, None]
         self.d = p.diffusivities[:, None]
         self.alpha, self.beta, self.gamma = float(p.alpha), float(p.beta), float(p.gamma)
-        self.rate_scale = max(p.rate_factor, 1.0)
         self.anchors = masses_of(p, [math.fsum(f) for f in s0.y.tolist()]).tolist()
         self._factors: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray, float]] = {}
         self.y1, self.y2, self.change = np.empty((3,) + s0.y.shape)
@@ -301,7 +295,7 @@ class _Workspace:
             ab[1] = 1.0 + 2.0 * lam
             ab[1][:, [0, -1]] = 1.0 + lam
             # the largest cell up to which _react's sign test cannot overflow (proof there)
-            room = min(dt, 1.0) * 2.0**1000 / self.rate_scale
+            room = min(dt, 1.0) * 2.0**1000
             k = max(self.alpha + self.beta, self.gamma)
             quiet = -1.0 if room < 1.0 else math.ldexp(1.0, math.floor(math.log2(room) / (k + 1)))
             cached = cholesky_banded(ab.reshape(2, -1)), dt * self.nu, dt * self.d, quiet
@@ -323,14 +317,14 @@ class _Workspace:
         # Tested before re-anchoring, whose rounding-sized gaps flip the sign at
         # equilibrium.  Every test here only rejects, so their order is free.
         # The test cannot overflow or make a NaN when high <= quiet = 2^m >= 1, where
-        # m*(k+1) <= log2(min(dt, 1) * 2^1000 / c) up to log2's rounding, with
-        # k = max(alpha+beta, gamma), c = max(rate_factor, 1) and H = max(high, 1):
+        # m*(k+1) <= log2(min(dt, 1) * 2^1000) up to log2's rounding, with
+        # k = max(alpha+beta, gamma) and H = max(high, 1):
         # - each power of a cell of y1, in [0, high], is at most H^k <= 2^1000, so
-        #   every factor of r1 is finite and |r1| <= c*H^k;
+        #   every factor of r1 is finite and |r1| <= H^k;
         # - r is finite and |r| <= 4*H/dt: the species that grows (w for r > 0, u for
         #   r < 0) starts >= 0 and gains fl(fl(dt*|nu_i|)*|r|) >= dt*|r|*(1 - eps)
         #   - 2^-1075, as |nu_i| >= 1, yet ends <= high;
-        # - so |r1*r| <= 4*c*H^(k+1)/dt < 2^1003.
+        # - so |r1*r| <= 4*H^(k+1)/dt < 2^1003.
         # Above quiet, overflow and NaN are ignored, as they always were.
         with _QUIET if high <= quiet else np.errstate(over="ignore", invalid="ignore"):
             r1 = _rate(p, *self.rows1)  # a fresh array

@@ -38,9 +38,8 @@ class PlainUnderflow(RuntimeError):
 
 
 def rate(p, y):
-    """The normalised mass-action rate R of each cell of y = (u, v, w)."""
-    r = stoich_pow(y[0], p.alpha) * stoich_pow(y[1], p.beta) - stoich_pow(y[2], p.gamma)
-    return r * p.rate_factor if p.rate_factor != 1.0 else r
+    """The normalised mass-action rate R of each cell of y = (u, v, w), for ell = k = 1."""
+    return stoich_pow(y[0], p.alpha) * stoich_pow(y[1], p.beta) - stoich_pow(y[2], p.gamma)
 
 
 def laplacian(f):

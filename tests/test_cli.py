@@ -110,10 +110,15 @@ class TestBoundary:
         ("d1", "inf"),
         ("alpha", "inf"),
         ("m1", "5"),  # simulate derives its masses from the profiles
-        ("ell", "2"),  # alpha + beta != gamma, so the rates must be normalised
+        ("ell", "2"),  # no command reads a rate: each runs the normalised system
+        # a factor on R could not move the equilibrium, which stayed ell = k = 1's
+        pytest.param("ell", {"gamma": "2", "ell": "4", "k": "1"}, id="ell-4-on-1-1-2"),
     ])
     def test_simulate_repros_exit_2_naming_key(self, tmp_path, capsys, key, value):
-        conf = _write(tmp_path, _with(REFERENCE_CONFIG, key, value))
+        text = REFERENCE_CONFIG
+        for name, setting in (value if isinstance(value, dict) else {key: value}).items():
+            text = _with(text, name, setting)
+        conf = _write(tmp_path, text)
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
@@ -122,8 +127,8 @@ class TestBoundary:
     @pytest.mark.parametrize("command,key", [
         ("simulate", "seed"), ("simulate", "n_samples"), ("equilibrium", "out"),
         ("equilibrium", "t_end"), ("scan", "seed"), ("verify-eed", "dt_init"),
-        # the rates and diffusivities enter only the evolution and D
-        ("equilibrium", "ell"), ("scan", "d1"), ("verify-ck", "d3"),
+        # the diffusivities enter only the evolution and D
+        ("equilibrium", "d2"), ("scan", "d1"), ("verify-ck", "d3"),
     ])
     def test_subcommand_rejects_keys_it_does_not_read(self, command, key):
         with pytest.raises(ConfigError, match=f"line 2: {command} does not read key '{key}'"):
@@ -133,25 +138,24 @@ class TestBoundary:
         with pytest.raises(ConfigError, match="unknown key 'k1'"):
             parse_config("k1 = 1\n")
 
-    def test_removed_floor_delta_key_and_flag_exit_2(self, tmp_path, capsys):
-        # the sampler's floor is always default_floor(m)
-        conf = _write(tmp_path, "floor_delta = 1e-3\n")
-        assert main(["verify-eed", "--config", str(conf)]) == 2
-        assert "unknown key 'floor_delta'" in capsys.readouterr().err
+    @pytest.mark.parametrize("key,value", [
+        ("floor_delta", "1e-3"),  # the sampler's floor is always default_floor(m)
+        ("k", "0.5"),  # D is computed for the normalised rates ell = k = 1 only
+    ])
+    def test_removed_key_and_flag_exit_2(self, tmp_path, capsys, key, value):
+        conf = _write(tmp_path, f"{key} = {value}\n")
+        report = tmp_path / "report.txt"
+        assert main(["verify-eed", "--config", str(conf), "--out", str(report)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not report.exists()
         with pytest.raises(SystemExit) as exc:
-            main(["verify-eed", "--floor-delta", "1e-3"])
+            main(["verify-eed", f"--{key.replace('_', '-')}", value])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --floor-delta" in capsys.readouterr().err
+        assert f"unrecognized arguments: --{key.replace('_', '-')}" in capsys.readouterr().err
 
     def test_masses_are_set_together(self):
         with pytest.raises(ConfigError, match="m1 and m2 must be set together"):
             parse_config("m1 = 2\n", "equilibrium")
-
-    def test_rates_allowed_only_when_they_cannot_be_normalised(self):
-        cfg = parse_config("alpha = 1\nbeta = 2\ngamma = 3\nell = 8\n", "simulate")
-        assert cfg.params.rate_factor == pytest.approx(2.0)
-        with pytest.raises(ConfigError, match="k must be 1 unless alpha \\+ beta == gamma"):
-            parse_config("k = 0.5\n", "verify-eed")
 
     def test_flag_overrides_are_validated(self, capsys):
         assert main(["equilibrium", "--m1", "nan", "--m2", "2"]) == 2
@@ -188,6 +192,14 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert all(f"{key}=" in err for key in ("m1", "m2", "alpha", "beta", "gamma"))
         assert "with a zero component" in err and not (tmp_path / "x.csv").exists()
+
+    def test_overflowing_equilibrium_names_its_keys(self, capsys):
+        # the bisection midpoint overflows, and the residual is NaN
+        assert main(["equilibrium", "--m1", "1e308", "--m2", "1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(f"{key}=" in err for key in ("m1", "m2", "alpha", "beta", "gamma"))
+        assert "overflows" in err
 
     @pytest.mark.parametrize("command", ["simulate", "equilibrium"])
     def test_overflowing_profile_masses_name_the_amplitudes(self, tmp_path, capsys, command):
@@ -263,8 +275,7 @@ class TestBoundary:
 
 # valid values keep every in-process run small: n_cells <= 16, t_end <= 0.05
 _VALID = {
-    "alpha": ("1", "2"), "beta": ("1", "2"), "gamma": ("1", "3"), "ell": ("1", "0.5"),
-    "k": ("1", "2"), "d1": ("1", "0.1"), "d2": ("1", "2"), "d3": ("1", "0.5"),
+    "alpha": ("1", "2"), "beta": ("1", "2"), "gamma": ("1", "3"), "d1": ("1", "0.1"), "d2": ("1", "2"), "d3": ("1", "0.5"),
     "m1": ("2", "0.5"), "m2": ("2", "1e-3"), "n_cells": ("4", "16"),
     "u_profile": ("homogeneous", "cosine-bump", "two-blocks"),
     "v_profile": ("homogeneous", "two-blocks"), "w_profile": ("homogeneous", "cosine-bump"),
@@ -336,8 +347,8 @@ class TestFlags:
         (command, key) for command, keys in COMMAND_KEYS.items() for key in keys
     ])
     def test_every_key_read_is_a_flag_that_overrides_the_file(self, tmp_path, command, key):
-        # gamma = 2 lets ell and k differ from 1; the masses are set together or not at all
-        text = "gamma = 2\n" + ("m1 = 2\nm2 = 2\n" if "m1" in COMMAND_KEYS[command] else "")
+        # the masses are set together or not at all
+        text = "m1 = 2\nm2 = 2\n" if "m1" in COMMAND_KEYS[command] else ""
         in_file, in_flag = _VALID[key][0], _VALID[key][-1]
         assert in_file != in_flag
         conf = _write(tmp_path, _with(text, key, in_file))
@@ -348,11 +359,11 @@ class TestFlags:
 
     @pytest.mark.parametrize("command,key", [
         (command, key) for command, keys in COMMAND_KEYS.items()
-        for key in CONFIG_KEYS if key not in keys
+        for key in (*CONFIG_KEYS, "ell", "k") if key not in keys  # no command reads a rate
     ])
     def test_a_key_not_read_is_no_flag(self, capsys, command, key):
         with pytest.raises(SystemExit) as exc:
-            main([command, f"--{key.replace('_', '-')}", _VALID[key][0]])
+            main([command, f"--{key.replace('_', '-')}", _VALID.get(key, ("1",))[0]])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

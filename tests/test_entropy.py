@@ -193,7 +193,7 @@ class TestStackedStates:
     def test_a_mixed_stack_of_recordable_states_matches_one_state_calls(self, g):
         # states a run records, side by side: positive and smooth; vacuum blocks beside
         # w > 0, whose reaction term is inf; cells below 1e-16 of the equilibrium's
-        p = ReactionParams(2, 1, 3, ell=8.0, d1=0.5, d2=1.0, d3=2.0)
+        p = ReactionParams(2, 1, 3, d1=0.5, d2=1.0, d3=2.0)
         eq = compute_equilibrium(p, MassPair(2, 2))
         x, n = g.cell_centers(), g.n_cells
         smooth = (1.5 + np.cos(2 * np.pi * x), np.full(n, 0.8), 1.2 - 0.5 * np.sin(2 * np.pi * x))

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from revreact.model import (
     MassPair,
@@ -70,7 +70,6 @@ class TestRescale:
         rep = rescale_params(ReactionParams(1, 1, 1))
         assert rep.concentration_factor == 1.0
         assert rep.time_factor == 1.0
-        assert rep.third_equation_factor == 1.0
         assert rep.rescaled.ell == rep.rescaled.k == 1.0
 
     def test_general_case_by_hand(self):
@@ -79,12 +78,17 @@ class TestRescale:
         assert rep.concentration_factor == pytest.approx(0.5, rel=1e-15)
         assert rep.time_factor == pytest.approx(0.5, rel=1e-15)
 
-    def test_degenerate_stoichiometry_keeps_rate_ratio(self):
-        rep = rescale_params(ReactionParams(1, 2, 3, ell=8.0, k=1.0))
-        assert rep.third_equation_factor == pytest.approx(2.0, rel=1e-15)
-        assert rep.rescaled.ell == rep.rescaled.k == 1.0
-        # the ratio survives on the unnormalised params instead
-        assert ReactionParams(1, 2, 3, ell=8.0, k=1.0).rate_factor == pytest.approx(2.0)
+    def test_degenerate_stoichiometry_rescales_time_alone(self):
+        # alpha + beta == gamma: ell u^a v^b - k w^g is k*R when ell = k, R on the time scale 1/k
+        for gamma in (2, 1):  # (1, 1, 1) takes the alpha + beta != gamma formulas
+            rep = rescale_params(ReactionParams(1, 1, gamma, ell=3.0, k=3.0, d1=3.0))
+            assert rep.concentration_factor == 1.0
+            assert rep.time_factor == pytest.approx(1 / 3, rel=1e-15)
+            assert rep.rescaled.ell == rep.rescaled.k == 1.0
+            assert rep.rescaled.d1 == pytest.approx(1.0, rel=1e-15)
+        # no rescaling changes ell/k there, so unequal rates have no normalised system
+        with pytest.raises(ValueError, match="ell and k must be equal.*ell=8.0, k=1.0"):
+            rescale_params(ReactionParams(1, 2, 3, ell=8.0, k=1.0))
 
     @given(
         ell=st.floats(0.1, 10.0),
@@ -95,19 +99,15 @@ class TestRescale:
         d=st.floats(0.1, 5.0),
     )
     @settings(max_examples=60, deadline=None)
+    @example(ell=3.0, k=0.5, alpha=1, beta=2, gamma=3, d=1.0)
     def test_round_trip(self, ell, k, alpha, beta, gamma, d):
         if alpha + beta == gamma:
-            return
+            k = ell  # the one pair of rates with a normalised system there
         p = ReactionParams(alpha, beta, gamma, ell, k, d, 2 * d, 3 * d)
         rep = rescale_params(p)
         q = undo_rescale(rep)
         for name in ("ell", "k", "d1", "d2", "d3"):
             assert getattr(q, name) == pytest.approx(getattr(p, name), rel=1e-14)
-
-    def test_undo_unavailable_for_degenerate_stoichiometry(self):
-        rep = rescale_params(ReactionParams(1, 2, 3, ell=8.0, k=1.0))
-        with pytest.raises(ValueError):
-            undo_rescale(rep)
 
 
 class TestEquilibrium:
@@ -134,8 +134,9 @@ class TestEquilibrium:
         assert eq.b_inf == pytest.approx(0.5, abs=1e-14)
 
     def test_requires_normalised_rates(self):
-        with pytest.raises(ValueError):
-            compute_equilibrium(ReactionParams(1, 1, 1, ell=2.0), MassPair(1, 1))
+        for p in (ReactionParams(1, 1, 1, ell=2.0), ReactionParams(1, 1, 2, ell=4.0)):
+            with pytest.raises(ValueError, match="normalised rates: ell must be 1"):
+                compute_equilibrium(p, MassPair(1, 1))
 
     @given(
         alpha=st.integers(1, 3),
@@ -191,6 +192,18 @@ class TestEquilibrium:
             "m1=1e-100, m2=1e-100 with alpha=3, beta=3, gamma=1 give an equilibrium"
         )):
             compute_equilibrium(ReactionParams(3, 3, 1), MassPair(1e-100, 1e-100))
+
+    @pytest.mark.parametrize("exponents,mass", [
+        ((2, 1, 3), 1e150),  # a^2 b ~ 3.6e448 overflows; the bisection stops where c^3 does
+        ((1, 1, 1), 1e308),  # the bisection midpoint overflows: c = inf, a = b = -inf
+    ])
+    def test_overflowing_balance_law_names_masses_and_exponents(self, exponents, mass):
+        alpha, beta, gamma = exponents
+        with pytest.raises(ValueError, match=re.escape(
+            f"m1={mass!r}, m2={mass!r} with alpha={alpha}, beta={beta}, gamma={gamma} give a "
+            f"balance law a^alpha b^beta = c^gamma that overflows"
+        )):
+            compute_equilibrium(ReactionParams(*exponents), MassPair(mass, mass))
 
     def test_masses_near_the_float_limit_give_a_finite_residual(self):
         for exponents in ((1, 1, 1), (2, 1, 1)):

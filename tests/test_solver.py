@@ -13,7 +13,7 @@ from revreact import solver
 from revreact.cli import validate_rows
 from revreact.entropy import dissipation, entropy, l1_distances
 from revreact.grid import Grid1D, integrate
-from revreact.model import ReactionParams, masses_of, weighted_masses
+from revreact.model import Equilibrium, ReactionParams, masses_of, weighted_masses
 from revreact.solver import (
     State,
     StepConfig,
@@ -126,11 +126,6 @@ class TestReactionRate:
 
     def test_mixed_exponents(self):
         assert reaction_rate(ReactionParams(2, 1, 3), 2.0, 3.0, 1.0) == 11.0
-
-    def test_rate_factor_applies_when_sum_matches_gamma(self):
-        # u v^2 - w^3 = 2*9 - 1 = 17, doubled by (ell/k)^(1/gamma) = 2
-        p = ReactionParams(1, 2, 3, ell=8.0, k=1.0)
-        assert reaction_rate(p, 2.0, 3.0, 1.0) == pytest.approx(34.0, rel=1e-14)
 
     def test_vectorized(self):
         p = ReactionParams(1, 1, 2)
@@ -277,10 +272,14 @@ class TestDiffusionSolve:
 class TestRun:
     # run() and steps() check the start when called; steps() before any next()
     def test_requires_normalised_rates(self):
-        p = ReactionParams(1, 1, 1, ell=3.0)
-        for start in (run, steps):
-            with pytest.raises(ValueError, match="run expects normalised rates"):
-                start(p, homogeneous_state(8, 1, 1, 1), StepConfig(t_end=0.01))
+        # alpha + beta == gamma too: a factor on R could not move its equilibrium
+        s = homogeneous_state(8, 1, 1, 1)
+        for p in (ReactionParams(1, 1, 1, ell=3.0), ReactionParams(1, 1, 2, ell=4.0)):
+            for start in (run, steps):
+                with pytest.raises(ValueError, match="run expects normalised rates: ell must be 1"):
+                    start(p, s, StepConfig(t_end=0.01))
+            with pytest.raises(ValueError, match="dissipation expects normalised rates: ell"):
+                dissipation(p, s, Equilibrium(1.0, 1.0, 1.0, 0.0))
 
     def test_rejects_a_one_cell_start_naming_n_cells(self):
         for start in (run, steps):
@@ -329,7 +328,7 @@ class TestRun:
     def test_rows_equal_rows_built_one_state_at_a_time(self, n, record_every):
         # k = 2^13 // 3n states per stacked call: 1365 at n = 2 (a run shorter than one
         # buffer), 13 at n = 200 (several full buffers, or one part-filled), 1 at n = 2000
-        p = ReactionParams(2, 1, 3, ell=8.0, d1=1.0, d2=0.1, d3=0.01)
+        p = ReactionParams(2, 1, 3, d1=1.0, d2=0.1, d3=0.01)
         x = Grid1D(n).cell_centers()
         # w > 0 beside the vacuum: the t = 0 row has an infinite reaction term
         s0 = State(0.0, np.where(x < 0.5, 2.0, 0.0), np.where(x >= 0.5, 2.0, 0.0), np.full(n, 0.1))
@@ -418,16 +417,6 @@ class TestRun:
         cfg = StepConfig(dt_init=1e-2, dt_min=5e-3, safety=1e-6, t_end=1.0)
         with pytest.raises(StepUnderflowError):
             run(p, s0, cfg)
-
-    def test_degenerate_stoichiometry_rate_factor_in_run(self):
-        # alpha+beta == gamma keeps the rate ratio; masses use the same R in
-        # all equations so the weighted sums remain conserved
-        p = ReactionParams(1, 2, 3, ell=8.0, k=1.0, d1=1, d2=1, d3=1)
-        g = Grid1D(32)
-        s0 = homogeneous_state(32, 2.0, 2.0, 0.1)
-        traj = run(p, s0, StepConfig(dt_init=1e-4, t_end=0.05, record_every=50))
-        m1 = traj.column("mass1")
-        assert np.max(np.abs(m1 - m1[0])) <= 1e-12 * m1[0]
 
 
 class TestWorkspace:
@@ -636,17 +625,13 @@ class TestSubsteps:
 
     @settings(max_examples=200, deadline=None)
     @given(exponents=st.tuples(*[st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 5.0])] * 3),
-           ell=st.floats(1e-300, 1e300),
            cells=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e300)), min_size=12,
                           max_size=12),
            dt=st.floats(1e-300, 10.0))
-    # r1 * r overflows while y1 stays in [0, high]: above the bound, and above it only
-    # through the rate factor (1e150 here)
-    @example(exponents=(1.0, 1.0, 2.0), ell=1.0, cells=[1e154] * 8 + [0.99e154] * 4, dt=1e-200)
-    @example(exponents=(1.0, 1.0, 2.0), ell=1e300, cells=[1e16] * 8 + [0.99e16] * 4, dt=1e-250)
-    def test_sign_test_warns_as_the_errstate_form_does(self, exponents, ell, cells, dt):
-        # ell enters only as the rate factor of alpha + beta == gamma
-        p = ReactionParams(*exponents, ell=ell)
+    # r1 * r overflows while y1 stays in [0, high], above the bound
+    @example(exponents=(1.0, 1.0, 2.0), cells=[1e154] * 8 + [0.99e154] * 4, dt=1e-200)
+    def test_sign_test_warns_as_the_errstate_form_does(self, exponents, cells, dt):
+        p = ReactionParams(*exponents)
         s = State(0.0, *np.reshape(cells, (3, 4)))
         assert self._react_recorded(p, s, dt) == self._react_recorded(p, s, dt, loud=True)
 
