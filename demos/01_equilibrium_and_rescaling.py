@@ -14,23 +14,23 @@ Run:  python demos/01_equilibrium_and_rescaling.py
 import numpy as np
 
 from revreact import MassPair, ReactionParams, compute_equilibrium, rescale_params
-from revreact.model import undo_rescale
 
 print("=== 1. rate normalisation ===")
-p = ReactionParams(1, 1, 1, ell=4.0, k=2.0, d1=1.0, d2=2.0, d3=3.0)
-rep = rescale_params(p)
-print(f"original rates: ell={p.ell}, k={p.k}")
-print(f"factors: time={rep.time_factor}, concentration={rep.concentration_factor}")
+# ReactionParams is the system with ell = k = 1; rates (ell, k) enter rescale_params alone
+p, ell, k = ReactionParams(1, 1, 1, d1=1.0, d2=2.0, d3=3.0), 4.0, 2.0
+rep = rescale_params(p, ell, k)
+T, C = rep.time_factor, rep.concentration_factor
+print(f"original rates: ell={ell}, k={k}")
+print(f"factors: time={T}, concentration={C}")
 print(f"rescaled diffusivities: ({rep.rescaled.d1}, {rep.rescaled.d2}, {rep.rescaled.d3})")
-q = undo_rescale(rep)
-print(f"round trip recovers ell={q.ell:.15g}, k={q.k:.15g}")
+print(f"rescaled rates: ell*T*C^(alpha+beta-1)={ell * T * C ** (p.alpha + p.beta - 1):.15g}, "
+      f"k*T*C^(gamma-1)={k * T * C ** (p.gamma - 1):.15g}")
 
-p_deg = ReactionParams(1, 2, 3, ell=4.0, k=4.0)
-rep_deg = rescale_params(p_deg)
+rep_deg = rescale_params(ReactionParams(1, 2, 3), 4.0, 4.0)
 print(f"\nwhen alpha+beta == gamma only time rescales: ell = k = 4 gives "
       f"time={rep_deg.time_factor}, concentration={rep_deg.concentration_factor}")
 try:
-    rescale_params(ReactionParams(1, 2, 3, ell=8.0, k=1.0))
+    rescale_params(ReactionParams(1, 2, 3), 8.0, 1.0)
 except ValueError as exc:
     print(f"and ell != k has no normalised system: {exc}")
 

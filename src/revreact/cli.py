@@ -356,6 +356,8 @@ def cmd_verify(args) -> int:
 
 def cmd_fit_rate(args) -> int:
     rows = read_csv_rows(args.csv)
+    if not rows:
+        raise ValueError(f"{args.csv}: no data rows to fit, only the header")
     series = [(row.t, getattr(row, args.column)) for row in rows]
     k_fit, intercept, r2 = fit_rate(series)
     ok = k_fit > 0 and r2 >= args.r2_min

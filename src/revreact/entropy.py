@@ -93,7 +93,6 @@ def reaction_dissipation_density(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def dissipation(p: ReactionParams, s: "State", e: Equilibrium) -> EntropyReport:
     """Entropy dissipation of a state, split into its four contributions; E_rel is against e."""
-    p.require_normalised("dissipation")
     fu, fv, fw = unstack(fisher_information(s.y, p.diffusivities))
     a = stoich_pow(s.u, p.alpha) * stoich_pow(s.v, p.beta)
     b = stoich_pow(s.w, p.gamma)

@@ -100,10 +100,17 @@ def mu_c_max(p: ReactionParams, e: Equilibrium) -> float:
     return -1.0 + np.sqrt(1.0 + bound)
 
 
+def _integer(x) -> int:
+    """operator.index(x), refusing a bool: Python's int subclass is never a count."""
+    if isinstance(x, bool):
+        raise TypeError
+    return index(x)
+
+
 def check_n_grid(n_grid) -> None:
     """The homogeneous scan's rule for its grid, which the config applies too."""
     try:
-        index(n_grid)
+        _integer(n_grid)
     except TypeError:
         raise TypeError(f"n_grid must be an integer, got {n_grid!r}") from None
     require("n_grid", n_grid, n_grid >= 100, ">= 100")
@@ -249,7 +256,7 @@ def _ratio_report(ratios, labels: list, pick_constant, **counts) -> RatioReport:
 def check_sampling_keys(seed, n_samples) -> tuple[int, int]:
     """seed and n_samples as ints, each checked by name; the config applies the same rules."""
     try:
-        seed, n_samples = index(seed), index(n_samples)
+        seed, n_samples = _integer(seed), _integer(n_samples)
     except TypeError:
         raise TypeError(f"seed and n_samples must be integers: {seed!r}, {n_samples!r}") from None
     require("seed", seed, seed >= 0, ">= 0")

@@ -1,12 +1,12 @@
 """Problem definition: reaction parameters, rescaling, masses, equilibrium.
 
 The model is the reversible mass-action reaction  a*U + b*V <-> c*W  with
-stoichiometric exponents (alpha, beta, gamma), forward/backward rates
-(ell, k) and one diffusivity per species, posed on the normalised interval
-[0,1] with no-flux boundaries: dc/dt - D*Laplace(c) = nu*R(c) for
-c = (u, v, w), nu = (-alpha, -beta, gamma) and R = u^alpha v^beta - w^gamma.
-Runs, dissipation and equilibria take normalised rates ell = k = 1 only;
-rescale_params maps general rates to that system by rescaling time and
+stoichiometric exponents (alpha, beta, gamma), normalised rates and one
+diffusivity per species, posed on the normalised interval [0,1] with
+no-flux boundaries: dc/dt - D*Laplace(c) = nu*R(c) for c = (u, v, w),
+nu = (-alpha, -beta, gamma) and R = u^alpha v^beta - w^gamma.
+ReactionParams holds that system only.  rescale_params(p, ell, k) maps
+general forward/backward rates (ell, k) to it by rescaling time and
 concentration, which needs ell = k when alpha + beta == gamma.  The two
 weights orthogonal to nu give the conserved masses
 
@@ -61,13 +61,11 @@ def stoich_pow(x, e: float):
 
 @dataclass(frozen=True)
 class ReactionParams:
-    """Stoichiometry, reaction rates and diffusivities of the system."""
+    """Stoichiometry and diffusivities of the system with normalised rates ell = k = 1."""
 
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 1.0
-    ell: float = 1.0
-    k: float = 1.0
     d1: float = 1.0
     d2: float = 1.0
     d3: float = 1.0
@@ -76,7 +74,7 @@ class ReactionParams:
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             require(name, value, value >= 1, ">= 1")
-        for name in ("ell", "k", "d1", "d2", "d3"):
+        for name in ("d1", "d2", "d3"):
             value = getattr(self, name)
             require(name, value, value > 0, "> 0")
 
@@ -89,13 +87,6 @@ class ReactionParams:
     def diffusivities(self) -> np.ndarray:
         """(d1, d2, d3), one diffusivity per species."""
         return np.array([self.d1, self.d2, self.d3], dtype=float)
-
-    def require_normalised(self, where: str) -> None:
-        """Raise, naming ell or k, unless both rates are 1 (see rescale_params)."""
-        if (self.ell, self.k) != (1.0, 1.0):
-            key = "ell" if self.ell != 1.0 else "k"
-            raise ValueError(f"{where} expects normalised rates: {key} must be 1, "
-                             f"got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -143,12 +134,12 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class RescaleReport:
-    """Scale factors that normalise rates to ell = k = 1.
+    """Scale factors that normalise the rates (ell, k) to ell = k = 1.
 
-    The transformation maps a solution (u, v, w)(t, x) of the original
-    system to (u, v, w)(t*time_factor, x)/concentration_factor solving the
-    normalised one; diffusivities pick up time_factor (the domain is [0, 1],
-    so space needs no scaling).
+    The transformation maps a solution (u, v, w)(t, x) of the system with
+    rates (ell, k) to (u, v, w)(t*time_factor, x)/concentration_factor, a
+    solution of the normalised system `rescaled`; diffusivities pick up
+    time_factor (the domain is [0, 1], so space needs no scaling).
     """
 
     time_factor: float
@@ -156,10 +147,11 @@ class RescaleReport:
     rescaled: ReactionParams
 
 
-def rescale_params(p: ReactionParams) -> RescaleReport:
-    """Normalise reaction rates to 1 by rescaling time and concentration.
+def rescale_params(p: ReactionParams, ell: float, k: float) -> RescaleReport:
+    """Normalise forward/backward rates (ell, k) to 1 by rescaling time and concentration.
 
-    For alpha + beta != gamma the factors are
+    p gives the exponents and the diffusivities of the system with rates
+    (ell, k).  For alpha + beta != gamma the factors are
 
         concentration_factor = (k/ell)^(1/(alpha+beta-gamma))
         time_factor          = (k/ell)^((1-gamma)/(alpha+beta-gamma)) / k
@@ -169,21 +161,21 @@ def rescale_params(p: ReactionParams) -> RescaleReport:
     can be normalised, by time_factor = 1/k alone; other rates raise
     ValueError naming ell and k.
     """
-    conc, time = 1.0, 1.0 / p.k
+    require("ell", ell, ell > 0, "> 0")
+    require("k", k, k > 0, "> 0")
+    conc, time = 1.0, 1.0 / k
     if p.alpha + p.beta == p.gamma:
-        if p.ell != p.k:
+        if ell != k:
             raise ValueError(f"ell and k must be equal when alpha + beta == gamma, as no "
-                             f"rescaling changes ell/k there, got ell={p.ell!r}, k={p.k!r}")
+                             f"rescaling changes ell/k there, got ell={ell!r}, k={k!r}")
     else:
         expo = p.alpha + p.beta - p.gamma
-        conc = (p.k / p.ell) ** (1.0 / expo)
-        time = (p.k / p.ell) ** ((1.0 - p.gamma) / expo) / p.k
+        conc = (k / ell) ** (1.0 / expo)
+        time = (k / ell) ** ((1.0 - p.gamma) / expo) / k
     return RescaleReport(
         time_factor=time,
         concentration_factor=conc,
-        rescaled=ReactionParams(
-            p.alpha, p.beta, p.gamma, 1.0, 1.0, p.d1 * time, p.d2 * time, p.d3 * time,
-        ),
+        rescaled=ReactionParams(p.alpha, p.beta, p.gamma, p.d1 * time, p.d2 * time, p.d3 * time),
     )
 
 
@@ -209,7 +201,6 @@ def compute_equilibrium(p: ReactionParams, m: MassPair) -> Equilibrium:
     A c_inf that underflows to 0, or a balance law that overflows (a residual
     that is not finite), raises ValueError naming the masses and exponents.
     """
-    p.require_normalised("compute_equilibrium")
     lo = 0.0
     hi = min(m.m1 / p.alpha, m.m2 / p.beta)
     # defect(0) > 0 and defect(hi) < 0 for positive masses
@@ -243,13 +234,4 @@ def compute_equilibrium(p: ReactionParams, m: MassPair) -> Equilibrium:
         raise ValueError(f"m1={m.m1!r}, m2={m.m2!r} with alpha={p.alpha!r}, beta={p.beta!r}, "
                          f"gamma={p.gamma!r} give {problem}")
     return Equilibrium(a_inf=a, b_inf=b, c_inf=c, residual=residual)
-
-
-def undo_rescale(r: RescaleReport) -> ReactionParams:
-    """Invert a rescale report, recovering the original parameters."""
-    p = r.rescaled
-    k = r.concentration_factor ** (1.0 - p.gamma) / r.time_factor
-    ell = k / r.concentration_factor ** (p.alpha + p.beta - p.gamma)
-    time = r.time_factor
-    return ReactionParams(p.alpha, p.beta, p.gamma, ell, k, p.d1 / time, p.d2 / time, p.d3 / time)
 

@@ -75,7 +75,8 @@ class State:
     """Concentrations at one instant, or S instants stacked.
 
     y holds u, v and w as its rows: shape (3, n) for fields of shape (n,),
-    (S, 3, n) for (S, n) fields.  u, v and w are views of those rows.  Fields
+    (S, 3, n) for (S, n) fields; scalar fields, which have no cell axis,
+    raise ValueError.  u, v and w are views of those rows.  Fields
     of ints or floats, lists too, are converted to float64; any other field
     raises ValueError naming it.
     """
@@ -93,6 +94,8 @@ class State:
             fields = u, v, w = [_real_field(name, f) for name, f in zip("uvw", fields)]
         if not (u.shape == v.shape == w.shape):
             raise ValueError("u, v, w must share one grid")
+        if not u.ndim:
+            raise ValueError("u, v and w need a cell axis, got scalars")
         attrs = self.__dict__  # frozen, yet writable here, and faster than object.__setattr__
         attrs["t"] = t
         # one copy; np.array of one state's rows costs half np.stack's call (once per step)
@@ -122,8 +125,9 @@ class StepConfig:
         require("dt_min", self.dt_min, 0 < self.dt_min <= self.dt_init, "> 0 and <= dt_init")
         require("safety", self.safety, 0 < self.safety <= 1, "> 0 and <= 1")
         require("t_end", self.t_end, self.t_end > 0, "> 0")
-        ok = isinstance(self.record_every, numbers.Integral) and self.record_every >= 1
-        require("record_every", self.record_every, ok, "an integer >= 1")
+        every = self.record_every
+        ok = isinstance(every, numbers.Integral) and not isinstance(every, bool) and every >= 1
+        require("record_every", every, ok, "an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,9 @@ class Trajectory:
 
 
 def reaction_rate(p: ReactionParams, u, v, w):
-    """Normalised net forward rate R = u^alpha v^beta - w^gamma, for ell = k = 1.
+    """Net forward rate R = u^alpha v^beta - w^gamma of the system p, whose rates are 1.
+
+    Other rates (ell, k) reach this form through rescale_params(p, ell, k).
 
     R > 0 drives the forward reaction (u, v consumed, w produced).
     """
@@ -418,7 +424,6 @@ def steps(p: ReactionParams, s0: State, cfg: StepConfig) -> Iterator[tuple[State
     """
     if s0.y.ndim != 2:
         raise ValueError(f"a run starts from one state, y of shape (3, n), got {s0.y.shape}")
-    p.require_normalised("run")
     n = s0.y.shape[-1]
     require("n_cells", n, n >= 2, "an integer >= 2")  # Grid1D's rule, on the start's last axis
     if not np.isfinite(s0.y).all():

@@ -537,6 +537,15 @@ class TestCsv:
         assert main(["validate", "--csv", str(path)]) == 1
         assert capsys.readouterr().out == "FAIL validate no rows\n"
 
+    def test_fit_rate_names_a_file_with_no_data_rows(self, tmp_path, capsys):
+        path, report = tmp_path / "run.csv", tmp_path / "fit.txt"
+        path.write_text(",".join(CSV_COLUMNS) + "\n")
+        assert main(["fit-rate", "--csv", str(path), "--out", str(report)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: no data rows to fit, only the header\n"
+        assert not report.exists()
+
     @pytest.mark.parametrize("row,col,message", [
         (2, "t", "times must be finite and strictly increasing"),
         (-1, "t", "times must be finite and strictly increasing"),

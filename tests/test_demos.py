@@ -1,10 +1,12 @@
-"""Demos 01-03 run against the package's public API and exit 0.
+"""Demos 01-03 and README's library quick start run against the package's public API.
 
 Demo 04 takes several seconds and is run by CI, as its own step of
-.github/workflows/tier1.yml.
+.github/workflows/tier1.yml, beside the installed `revreact` console script
+on README's cheap CLI examples.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,13 @@ def test_demo_exits_zero(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(compile(block, "README.md quick start", "exec"), namespace)
+    traj = namespace["traj"]
+    assert (traj.final.t, traj.final.y.shape) == (20.0, (3, 200))
+    assert capsys.readouterr().out.splitlines()[-1] == "20.0 (3, 200)"

@@ -330,6 +330,21 @@ class TestSeedWords:
             estimate_eed_constant(P111, M22, g, 5, seed=3)
         )
 
+    @pytest.mark.parametrize("make,error,message", [
+        (lambda: StepConfig(record_every=True), ValueError,
+         "record_every must be an integer >= 1, got True"),
+        (lambda: scan_homogeneous_ratio(P111, M22, True), TypeError,
+         "n_grid must be an integer, got True"),
+        (lambda: estimate_eed_constant(P111, M22, Grid1D(8), n_samples=True, seed=False),
+         TypeError, "seed and n_samples must be integers: False, True"),
+        (lambda: verify_csiszar_kullback(P111, M22, Grid1D(8), 5, seed=True), TypeError,
+         "seed and n_samples must be integers: True, 5"),
+    ])
+    def test_a_bool_is_refused_where_an_integer_is_required(self, make, error, message):
+        # bool is an int subclass, so operator.index and numbers.Integral both accept it
+        with pytest.raises(error, match=re.escape(message)):
+            make()
+
 
 class TestK2Split:
     def test_homogeneous_family_is_covered_by_scan_constant(self):

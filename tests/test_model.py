@@ -12,7 +12,6 @@ from revreact.model import (
     masses_of,
     rescale_params,
     stoich_pow,
-    undo_rescale,
     uv_totals,
 )
 
@@ -22,8 +21,8 @@ SQRT3 = 1.7320508075688773  # from a 40-digit bisection of a^2 = 3
 def test_params_validation():
     with pytest.raises(ValueError):
         ReactionParams(0.5, 1, 1)
-    with pytest.raises(ValueError):
-        ReactionParams(1, 1, 1, ell=0.0)
+    with pytest.raises(TypeError, match="ell"):
+        ReactionParams(1, 1, 1, ell=2.0)  # runs take normalised rates: rescale_params(p, ell, k)
     with pytest.raises(ValueError):
         ReactionParams(1, 1, 1, d2=-1.0)
     with pytest.raises(ValueError):
@@ -34,7 +33,7 @@ def test_params_validation():
     (lambda: ReactionParams(0.5, 1, 1), "alpha must be >= 1, got 0.5"),
     (lambda: ReactionParams(1, math.nan, 1), "beta must be finite and >= 1, got nan"),
     (lambda: ReactionParams(1, 1, math.inf), "gamma must be finite and >= 1, got inf"),
-    (lambda: ReactionParams(ell=math.nan), "ell must be finite and > 0"),
+    (lambda: rescale_params(ReactionParams(), math.nan, 1.0), "ell must be finite and > 0"),
     (lambda: ReactionParams(d1=math.inf), "d1 must be finite and > 0"),
     (lambda: MassPair(math.nan, 1.0), "m1 must be finite and > 0"),
     (lambda: MassPair(1.0, math.inf), "m2 must be finite and > 0"),
@@ -67,28 +66,27 @@ def test_stoich_pow_matches_general_pow():
 
 class TestRescale:
     def test_identity_rates(self):
-        rep = rescale_params(ReactionParams(1, 1, 1))
+        rep = rescale_params(ReactionParams(1, 1, 1), 1.0, 1.0)
         assert rep.concentration_factor == 1.0
         assert rep.time_factor == 1.0
-        assert rep.rescaled.ell == rep.rescaled.k == 1.0
+        assert rep.rescaled == ReactionParams(1, 1, 1)
 
     def test_general_case_by_hand(self):
         # (k/ell)^(1/1) = 0.5 and (k/ell)^0 / k = 0.5
-        rep = rescale_params(ReactionParams(1, 1, 1, ell=4.0, k=2.0))
+        rep = rescale_params(ReactionParams(1, 1, 1), 4.0, 2.0)
         assert rep.concentration_factor == pytest.approx(0.5, rel=1e-15)
         assert rep.time_factor == pytest.approx(0.5, rel=1e-15)
 
     def test_degenerate_stoichiometry_rescales_time_alone(self):
         # alpha + beta == gamma: ell u^a v^b - k w^g is k*R when ell = k, R on the time scale 1/k
         for gamma in (2, 1):  # (1, 1, 1) takes the alpha + beta != gamma formulas
-            rep = rescale_params(ReactionParams(1, 1, gamma, ell=3.0, k=3.0, d1=3.0))
+            rep = rescale_params(ReactionParams(1, 1, gamma, d1=3.0), 3.0, 3.0)
             assert rep.concentration_factor == 1.0
             assert rep.time_factor == pytest.approx(1 / 3, rel=1e-15)
-            assert rep.rescaled.ell == rep.rescaled.k == 1.0
             assert rep.rescaled.d1 == pytest.approx(1.0, rel=1e-15)
         # no rescaling changes ell/k there, so unequal rates have no normalised system
         with pytest.raises(ValueError, match="ell and k must be equal.*ell=8.0, k=1.0"):
-            rescale_params(ReactionParams(1, 2, 3, ell=8.0, k=1.0))
+            rescale_params(ReactionParams(1, 2, 3), 8.0, 1.0)
 
     @given(
         ell=st.floats(0.1, 10.0),
@@ -100,14 +98,17 @@ class TestRescale:
     )
     @settings(max_examples=60, deadline=None)
     @example(ell=3.0, k=0.5, alpha=1, beta=2, gamma=3, d=1.0)
-    def test_round_trip(self, ell, k, alpha, beta, gamma, d):
+    def test_rescaled_system_has_unit_rates(self, ell, k, alpha, beta, gamma, d):
+        # u = C*u', t = T*t' turn ell u^a v^b - k w^g into (ell T C^(a+b-1)) u'^a v'^b
+        # - (k T C^(g-1)) w'^g, so both coefficients are 1, and d_i becomes d_i * T
         if alpha + beta == gamma:
             k = ell  # the one pair of rates with a normalised system there
-        p = ReactionParams(alpha, beta, gamma, ell, k, d, 2 * d, 3 * d)
-        rep = rescale_params(p)
-        q = undo_rescale(rep)
-        for name in ("ell", "k", "d1", "d2", "d3"):
-            assert getattr(q, name) == pytest.approx(getattr(p, name), rel=1e-14)
+        p = ReactionParams(alpha, beta, gamma, d, 2 * d, 3 * d)
+        rep = rescale_params(p, ell, k)
+        T, C = rep.time_factor, rep.concentration_factor
+        assert T * ell * C ** (alpha + beta - 1) == pytest.approx(1.0, rel=1e-13)
+        assert T * k * C ** (gamma - 1) == pytest.approx(1.0, rel=1e-13)
+        assert (rep.rescaled.d1, rep.rescaled.d2, rep.rescaled.d3) == (d * T, 2 * d * T, 3 * d * T)
 
 
 class TestEquilibrium:
@@ -132,11 +133,6 @@ class TestEquilibrium:
         assert eq.c_inf == pytest.approx(0.5, abs=1e-14)
         assert eq.a_inf == pytest.approx(1.0, abs=1e-14)
         assert eq.b_inf == pytest.approx(0.5, abs=1e-14)
-
-    def test_requires_normalised_rates(self):
-        for p in (ReactionParams(1, 1, 1, ell=2.0), ReactionParams(1, 1, 2, ell=4.0)):
-            with pytest.raises(ValueError, match="normalised rates: ell must be 1"):
-                compute_equilibrium(p, MassPair(1, 1))
 
     @given(
         alpha=st.integers(1, 3),

@@ -13,7 +13,7 @@ from revreact import solver
 from revreact.cli import validate_rows
 from revreact.entropy import dissipation, entropy, l1_distances
 from revreact.grid import Grid1D, integrate
-from revreact.model import Equilibrium, ReactionParams, masses_of, weighted_masses
+from revreact.model import ReactionParams, masses_of, weighted_masses
 from revreact.solver import (
     State,
     StepConfig,
@@ -87,6 +87,11 @@ class TestStateLayout:
     def test_mismatched_shapes_raise(self):
         with pytest.raises(ValueError, match="u, v, w must share one grid"):
             State(0.0, np.ones(4), np.ones(4), np.ones(5))
+
+    @pytest.mark.parametrize("field", [1.0, np.float64(1.0), np.array(1.0)])
+    def test_scalar_fields_raise_naming_the_cell_axis(self, field):
+        with pytest.raises(ValueError, match="u, v and w need a cell axis, got scalars"):
+            State(0.0, field, field, field)
 
     @pytest.mark.parametrize("field", [[1, 2, 3], np.arange(3), np.arange(3, dtype=np.uint8),
                                        np.arange(3, dtype=np.float32), np.arange(3.0)[::-1]])
@@ -271,16 +276,6 @@ class TestDiffusionSolve:
 
 class TestRun:
     # run() and steps() check the start when called; steps() before any next()
-    def test_requires_normalised_rates(self):
-        # alpha + beta == gamma too: a factor on R could not move its equilibrium
-        s = homogeneous_state(8, 1, 1, 1)
-        for p in (ReactionParams(1, 1, 1, ell=3.0), ReactionParams(1, 1, 2, ell=4.0)):
-            for start in (run, steps):
-                with pytest.raises(ValueError, match="run expects normalised rates: ell must be 1"):
-                    start(p, s, StepConfig(t_end=0.01))
-            with pytest.raises(ValueError, match="dissipation expects normalised rates: ell"):
-                dissipation(p, s, Equilibrium(1.0, 1.0, 1.0, 0.0))
-
     def test_rejects_a_one_cell_start_naming_n_cells(self):
         for start in (run, steps):
             with pytest.raises(ValueError, match="n_cells must be an integer >= 2, got 1"):
@@ -309,7 +304,7 @@ class TestRun:
 
     def test_rejects_a_stacked_start_naming_both_shapes(self):
         stack = State(0.0, *np.ones((3, 2, 8)))
-        p = ReactionParams(1, 1, 1, ell=3.0)  # the shape is checked before the rates
+        p = ReactionParams(1, 1, 1)
         for start in (run, steps):
             with pytest.raises(ValueError, match=r"y of shape \(3, n\), got \(2, 3, 8\)"):
                 start(p, stack, StepConfig(t_end=0.01))
