@@ -14,7 +14,7 @@ Four inequalities are probed by sampling the conservation manifold:
 All constants reported here are empirical min/max ratios over samples,
 not claims about the optimal constants, which are only known to exist.
 The sampled estimators draw sample i from the stream of default_rng([seed, i]),
-whose seed words _seed_words hashes for a chunk of i at once, and evaluate
+whose PCG64 state _pcg64_states computes for a chunk of i at once, and evaluate
 CHUNK samples at a time as one stacked State, so a report does not depend on CHUNK.
 """
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import index
 from typing import Any
 
@@ -133,23 +134,31 @@ def scan_homogeneous_ratio(p: ReactionParams, m: MassPair, n_grid: int = 2001) -
                          zero_limit=float(2.0 * r_h2 - r_h))
 
 
-def _positive_shape(rng: np.random.Generator, shape: np.ndarray) -> None:
+def _positive_shape(rng: np.random.Generator, below, shape: np.ndarray) -> None:
     """Fill shape in place with a nonnegative piecewise-constant random shape of positive mean.
 
     Mixes plain uniform cells, uniform cells silenced on a random window
     (to reach the degenerate corners of the manifold) and heavy-tailed
-    spikes.
+    spikes.  below(k) draws the integers, as rng.integers(0, k) would.
     """
     n = shape.size
-    kind = rng.integers(0, 3)
+    kind = below(3)
     rng.random(out=shape)  # drawn for every kind: kind 2 discards it, but it advances the stream
     if kind == 1:
-        i0, i1 = sorted((rng.integers(0, n), rng.integers(0, n)))
+        i0, i1 = sorted((below(n), below(n)))
         shape[i0:i1] = 0.0  # i1 < n keeps at least one live cell
     elif kind == 2:
         rng.standard_exponential(out=shape)
     if not shape.item(-1) > 0.0 and shape.sum() <= 0.0:  # cells are >= 0: a live last cell suffices
-        shape[rng.integers(0, n)] = 1.0
+        shape[below(n)] = 1.0
+
+
+def _bounded(next_uint32, k: int) -> int:
+    """rng.integers(0, k) for 2 <= k < 2**32 from next_uint32(), as numpy draws it (Lemire 2019)."""
+    m = next_uint32() * k
+    while m & 0xFFFFFFFF < (1 << 32) % k:  # reject the low words that would favour some values
+        m = next_uint32() * k
+    return m >> 32
 
 
 def default_floor(m: MassPair) -> float:
@@ -183,26 +192,24 @@ def _seed_words(seed: int, indices) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _PresetSeed(np.random.bit_generator.ISeedSequence):
-    """Answers PCG64's one request, 4 uint64 words, with a precomputed row; others raise."""
+def _pcg64_states(seed: int, indices) -> list[dict]:
+    """PCG64(SeedSequence([seed, i])).state for every i in indices, set as pcg64_set_seed does."""
+    states = []
+    for w0, w1, w2, w3 in _seed_words(seed, indices).tolist():  # two LCG steps from state 0
+        inc = ((w2 << 64 | w3) << 1 | 1) & (2**128 - 1)
+        state = ((inc + (w0 << 64 | w1)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & (2**128 - 1)
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"a preset seed holds 4 uint64 words, not {n_words} of {dtype}")
-        return self.words
+def _admissible_stack(p: ReactionParams, m: MassPair, g: Grid1D, states) -> State:
+    """One admissible sample per PCG64 state, stacked as a State of (len(states), n) fields.
 
-
-def _admissible_stack(p: ReactionParams, m: MassPair, g: Grid1D, seeds) -> State:
-    """One admissible sample per seed, stacked as a State of (len(seeds), n) fields.
-
-    Each sample is drawn from its own default_rng(seed), where _PresetSeed(_seed_words(s, [i])[0])
-    gives the stream of [s, i], in a fixed order: w's mass fraction, then the w, u
-    and v shapes straight into their rows of the stack.  The floor default_floor(m),
-    the rescaling to the conserved masses and the feasibility check then act on
-    the stack.
+    One Generator draws every sample, its PCG64 set to the sample's state, in a fixed
+    order: w's mass fraction (next_double, as rng.random()), then the w, u and v shapes
+    straight into their rows of the stack.  The floor default_floor(m), the rescaling
+    to the conserved masses and the feasibility check then act on the stack.
     """
     delta = default_floor(m)
     bound = min(m.m1 / p.alpha, m.m2 / p.beta) - p.gamma * delta
@@ -210,13 +217,16 @@ def _admissible_stack(p: ReactionParams, m: MassPair, g: Grid1D, seeds) -> State
         raise ValueError(f"m1={m.m1!r}, m2={m.m2!r} with alpha={p.alpha!r}, beta={p.beta!r}, "
                          f"gamma={p.gamma!r} leave no room for w between the sampler's "
                          f"floor {delta} and {bound}")
-    frac = np.empty(len(seeds))
-    shapes = np.empty((len(seeds), 3, g.n_cells))  # of u, v, w, drawn in the order w, u, v
-    for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        frac[k] = rng.random()
+    bit_generator = np.random.PCG64(0)  # each sample replaces this seed's state with its own
+    rng, c = np.random.Generator(bit_generator), bit_generator.ctypes
+    below = partial(_bounded, partial(c.next_uint32, c.state))
+    frac = np.empty(len(states))
+    shapes = np.empty((len(states), 3, g.n_cells))  # of u, v, w, drawn in the order w, u, v
+    for k, state in enumerate(states):
+        bit_generator.state = state
+        frac[k] = c.next_double(c.state)
         for j in (2, 0, 1):
-            _positive_shape(rng, shapes[k, j])
+            _positive_shape(rng, below, shapes[k, j])
     frac = 0.02 + (0.95 - 0.02) * frac  # uniform(0.02, 0.95) maps the same double the same way
     means = shapes.mean(axis=-1)
 
@@ -236,7 +246,9 @@ def sample_admissible(p: ReactionParams, m: MassPair, g: Grid1D, seed) -> State:
     floored random shapes rescaled to the means the conservation laws
     dictate.  Both laws hold to rounding by construction.
     """
-    return State(0.0, *_admissible_stack(p, m, g, [seed]).y[0])
+    if not isinstance(seed, (list, tuple, np.ndarray, np.random.SeedSequence)):
+        seed, _ = check_sampling_keys(seed, 1)  # an int seed as the estimators take it
+    return State(0.0, *_admissible_stack(p, m, g, [np.random.PCG64(seed).state]).y[0])
 
 
 def _ratio_report(ratios, labels: list, pick_constant, **counts) -> RatioReport:
@@ -278,8 +290,7 @@ def _sampled_report(p, m, g, n_samples, seed, evaluate, pick_constant):
     ratios, labels = [], []
     n_informative = n_uncovered = n_bad = 0
     for start in range(0, n_samples, CHUNK):
-        words = _seed_words(seed, np.arange(start, min(start + CHUNK, n_samples)))
-        s = _admissible_stack(p, m, g, [_PresetSeed(row) for row in words])
+        s = _admissible_stack(p, m, g, _pcg64_states(seed, range(n_samples)[start:start + CHUNK]))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio, informative, uncovered = evaluate(s)
         n_uncovered += int(np.count_nonzero(uncovered))

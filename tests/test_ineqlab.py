@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from revreact.grid import Grid1D, integrate
 from revreact.ineqlab import (
     CHUNK,
     _admissible_stack,
+    _bounded,
+    _pcg64_states,
     _positive_shape,
-    _PresetSeed,
     _sampled_report,
     _seed_words,
     default_floor,
@@ -132,8 +134,8 @@ class TestSampler:
         s = sample_admissible(p, m, g, [7, 3])
         assert type(s) is State
         assert s.t == 0.0
-        np.testing.assert_array_equal(s.y, _admissible_stack(p, m, g, [[7, 3]]).y[0])
-
+        stack = _admissible_stack(p, m, g, [np.random.PCG64([7, 3]).state])
+        np.testing.assert_array_equal(s.y, stack.y[0])
 
     def test_seed_may_be_a_list_or_its_seed_sequence(self):
         p, m, g = ReactionParams(1, 2, 3), MassPair(4, 3), Grid1D(64)
@@ -146,6 +148,15 @@ class TestSampler:
         assert hashlib.sha256(y.tobytes()).hexdigest() == (
             "bf584cc0607cb1171538dd8d890c1fce73e976650d8631594c167f9ce42a7bcd"
         )
+
+    @pytest.mark.parametrize("seed,error,message", [
+        (-1, ValueError, "seed must be >= 0, got -1"),
+        (2.5, TypeError, "seed and n_samples must be integers: 2.5, 1"),
+        (True, TypeError, "seed and n_samples must be integers: True, 1"),
+    ])
+    def test_a_scalar_seed_is_checked_by_name(self, seed, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            sample_admissible(P111, M22, Grid1D(8), seed)
 
 
 def _drawn_the_old_way(p, m, g, seed, seen):
@@ -195,17 +206,18 @@ class TestSamplerStream:
         2: "b458f840864afd2412b6eefb60177452927effe1a84c00cf00c00aec397751cf",
     }
 
+    STATES = [np.random.PCG64(seed).state for seed in SEEDS]
+
     @pytest.mark.parametrize("n_cells", STACK_SHA256)
     def test_stack_digest_is_pinned(self, n_cells):
-        y = _admissible_stack(self.P, self.M, Grid1D(n_cells), self.SEEDS).y
+        y = _admissible_stack(self.P, self.M, Grid1D(n_cells), self.STATES).y
         digest = hashlib.sha256(y.tobytes()).hexdigest()
         assert digest == self.STACK_SHA256[n_cells]
 
     def test_rows_equal_the_plain_draws_byte_for_byte(self):
         g, seen = Grid1D(64), set()
-        seeds = self.SEEDS[:4]
-        stack = _admissible_stack(self.P, self.M, g, seeds).y
-        for k, seed in enumerate(seeds):
+        stack = _admissible_stack(self.P, self.M, g, self.STATES[:4]).y
+        for k, seed in enumerate(self.SEEDS[:4]):
             assert stack[k].tobytes() == _drawn_the_old_way(self.P, self.M, g, seed, seen).tobytes()
         assert {0, 1, 2, (1, True)} <= seen  # every kind, and a window drawn descending
 
@@ -221,13 +233,13 @@ class TestSamplerStream:
 
 
 class _ScriptedRng:
-    """Answers _positive_shape's calls from a script and records its integers() calls."""
+    """Answers _positive_shape's calls from a script and records the bounds of its integers."""
 
     def __init__(self, ints, cells):
         self.ints, self.cells, self.calls = list(ints), np.asarray(cells, dtype=float), []
 
-    def integers(self, lo, hi):
-        self.calls.append((lo, hi))
+    def below(self, k):
+        self.calls.append(k)
         return self.ints.pop(0)
 
     def random(self, out):
@@ -243,16 +255,64 @@ class TestPositiveShapeGuard:
     @pytest.mark.parametrize("kind", [0, 2])  # the zeros come from random() or the exponentials
     def test_all_zero_shape_gets_one_unit_cell(self, kind):
         rng, shape = _ScriptedRng([kind, 2], np.zeros(5)), np.empty(5)
-        _positive_shape(rng, shape)
-        assert rng.calls == [(0, 3), (0, 5)]
+        _positive_shape(rng, rng.below, shape)
+        assert rng.calls == [3, 5]
         assert shape.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
     def test_zero_last_cell_with_a_live_cell_is_left_alone(self):
         cells = [0.0, 0.5, 0.0, 0.0, 0.0]
         rng, shape = _ScriptedRng([0], cells), np.empty(5)
-        _positive_shape(rng, shape)
-        assert rng.calls == [(0, 3)]
+        _positive_shape(rng, rng.below, shape)
+        assert rng.calls == [3]
         assert shape.tolist() == cells
+
+
+class TestBoundedDraws:
+    """The sampler's draws on one reseeded PCG64 equal plain Generator calls, bit for bit."""
+
+    KS = [2, 3, 64, 2**31 + 1]  # 2**31 + 1 rejects about every second word
+
+    @staticmethod
+    def _draws(random, below, rng, k):
+        """The sampler's order of draws: a fraction, then for each of three shapes its kind,
+        64 uniform cells and a window pair, here each followed by 64 exponential cells."""
+        values = [random()]
+        for _ in range(3):
+            uniform, exponential = np.empty(64), np.empty(64)
+            kind = below(3)
+            rng.random(out=uniform)
+            window = below(k), below(k)
+            rng.standard_exponential(out=exponential)
+            values += [kind, *window, uniform.tobytes(), exponential.tobytes()]
+        return values
+
+    @given(seed=st.integers(0, 2**70), i=st.integers(0, 2**32 - 1), k=st.sampled_from(KS))
+    @settings(max_examples=200, deadline=None)
+    def test_helpers_equal_generator_calls(self, seed, i, k):
+        bit_generator = np.random.PCG64(0)
+        bit_generator.state = _pcg64_states(seed, [i])[0]
+        rng, c = np.random.Generator(bit_generator), bit_generator.ctypes
+        below = partial(_bounded, partial(c.next_uint32, c.state))
+        drawn = self._draws(partial(c.next_double, c.state), below, rng, k)
+        plain = np.random.default_rng([seed, i])
+        assert drawn == self._draws(plain.random, lambda n: int(plain.integers(0, n)), plain, k)
+        assert bit_generator.state == plain.bit_generator.state  # has_uint32 and uinteger too
+
+    @pytest.mark.parametrize("k", KS)
+    def test_bounded_equals_integers_over_many_words(self, k):
+        bit_generator = np.random.PCG64(2024)
+        rng = np.random.Generator(np.random.PCG64(2024))
+        c, words = bit_generator.ctypes, []
+
+        def next_uint32():
+            words.append(c.next_uint32(c.state))
+            return words[-1]
+
+        drawn = [_bounded(next_uint32, k) for _ in range(500)]
+        assert drawn == [int(rng.integers(0, k)) for _ in range(500)]
+        assert bit_generator.state == rng.bit_generator.state
+        if k == 2**31 + 1:
+            assert len(words) > len(drawn) + 100  # the rejection loop ran, many times
 
 
 class TestSeedWords:
@@ -277,13 +337,11 @@ class TestSeedWords:
         assert words.dtype == np.uint64
         assert words.tobytes() == np.array(expected).tobytes()
 
-    @pytest.mark.parametrize("n_words,dtype", [
-        (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.float64),
-    ])
-    def test_preset_seed_refuses_any_other_request(self, n_words, dtype):
-        preset = _PresetSeed(_seed_words(2024, [0])[0])
-        with pytest.raises(ValueError, match="4 uint64 words"):
-            preset.generate_state(n_words, dtype)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_equal_numpy_pcg64(self, seed):
+        indices = [0, 1, CHUNK, 2**31, 2**32 - 1]
+        expected = [np.random.PCG64(np.random.SeedSequence([seed, i])).state for i in indices]
+        assert _pcg64_states(seed, indices) == expected
 
     @pytest.mark.parametrize("seed", [2024, 2**40 + 3])
     def test_reports_draw_the_stacks_of_seed_lists(self, seed):
@@ -294,7 +352,8 @@ class TestSeedWords:
             return np.ones(len(s.y)), np.ones(len(s.y), bool), False
 
         _sampled_report(self.P, self.M, self.G, n, seed, evaluate, min)
-        expected = _admissible_stack(self.P, self.M, self.G, [[seed, i] for i in range(n)])
+        states = [np.random.PCG64([seed, i]).state for i in range(n)]
+        expected = _admissible_stack(self.P, self.M, self.G, states)
         assert [len(y) for y in drawn] == [CHUNK, CHUNK, n - 2 * CHUNK]
         assert np.concatenate(drawn).tobytes() == expected.y.tobytes()
 
